@@ -33,7 +33,6 @@ from .pdp import (
     BeliefPdp,
     JumpLaw,
     LabelEqualsSource,
-    PdpTrajectory,
     exit_survival_nonlinear,
     exit_survival_nonlinear_curve,
 )

@@ -23,7 +23,7 @@ from . import __version__
 from .chain import Distribution, RandomSource, exit_survival_oracle, observe, sample_chain
 from .filtering import DegenerateJump
 from .modelio import ModelFileError, fmt, load_model, path_rows, state_index, write_csv, write_json
-from .pdp import BeliefPdp, exit_survival_nonlinear_curve
+from .pdp import exit_survival_nonlinear_curve, pdp_check_statistics
 from .stopping import (
     FaceGrid,
     NoConvergence,
@@ -150,115 +150,6 @@ def cmd_exit_time(args) -> int:
     write_csv(os.path.join(out, "exit_time.csv"), ["t", "nonlinear", "oracle", "abs_diff"], rows)
     _write_manifest(out, "exit-time", _config_of(args, []))
     return EXIT_OK
-
-
-def pdp_check_statistics(model, mu: Distribution, n_sims: int, horizon: float,
-                         seed: int) -> list:
-    """Law checks for the first PDP jump: chain-driven vs analytic vs direct PDP.
-
-    The start point is nu0 = H_a[mu] for the first label with positive mass,
-    and the chain starts from nu0 itself so that Y_0 is deterministic.
-    """
-    pdp = BeliefPdp(model)
-    labels = model.obs.labels
-    a0 = next(a for a in labels if mu.weights[model.faces[a]].sum() > 0)
-    nu0 = model.restrict_normalize(mu, a0)
-    nu0_dist = Distribution(nu0.weights)
-    base = RandomSource(seed)
-
-    def first_jump_chain(r):
-        rng = base.stream(r)
-        path = sample_chain(model.rate, nu0_dist, horizon, rng)
-        obs_path = observe(path, model.obs)
-        if obs_path.jumps:
-            return obs_path.jumps[0]
-        return None
-
-    def first_jump_pdp(r):
-        rng = base.stream(n_sims + r)
-        traj = pdp.simulate_pdp(nu0, horizon, rng)
-        if traj.jumps:
-            j = traj.jumps[0]
-            return (j.time, j.post.label)
-        return None
-
-    chain_first = [first_jump_chain(r) for r in range(n_sims)]
-    pdp_first = [first_jump_pdp(r) for r in range(n_sims)]
-    t_grid = np.linspace(0.0, horizon, 101)
-    analytic = np.array([pdp.sojourn_survival(nu0, t) for t in t_grid])
-
-    def empirical_survival(first):
-        times = np.array([horizon if f is None else f[0] for f in first])
-        return np.array([(times > t).mean() for t in t_grid])
-
-    surv_chain = empirical_survival(chain_first)
-    surv_pdp = empirical_survival(pdp_first)
-    # DKW-style pass threshold; at n = 1e5 this is below the 0.01 of the spec
-    dkw = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n_sims))
-    stats = []
-    dev_chain = float(np.abs(surv_chain - analytic).max())
-    stats.append({
-        "statistic": "first_jump_survival_chain_vs_analytic_sup_dev",
-        "empirical": dev_chain,
-        "analytic": 0.0,
-        "stderr": dkw / 4.0,
-        "pass": bool(dev_chain < dkw),
-    })
-    dev_cross = float(np.abs(surv_chain - surv_pdp).max())
-    stats.append({
-        "statistic": "first_jump_survival_pdp_vs_chain_sup_dev",
-        "empirical": dev_cross,
-        "analytic": 0.0,
-        "stderr": dkw / 4.0,
-        "pass": bool(dev_cross < 2.0 * dkw),
-    })
-    # target-label frequencies binned by pre-jump position (equivalently by T_1)
-    others = [b for b in labels if b != a0]
-    jumped = [f for f in chain_first if f is not None]
-    jumped_pdp = [f for f in pdp_first if f is not None]
-    if jumped:
-        times = np.array([f[0] for f in jumped])
-        edges = np.quantile(times, [0.0, 0.25, 0.5, 0.75, 1.0])
-        edges[-1] += 1e-9
-        which = np.digitize(times, edges[1:-1])
-        # q(phi(t, nu0), b) at every observed jump time: ratio of target fluxes
-        dens = {c: np.array([pdp.jump_time_density(nu0, t, c) for t in times])
-                for c in others}
-        total_flux = sum(dens.values())
-        qvals = {c: dens[c] / np.where(total_flux > 0, total_flux, 1.0) for c in others}
-        for b in others:
-            hit = np.array([f[1] == b for f in jumped], dtype=float)
-            for k in range(4):
-                sel = which == k
-                n_bin = int(sel.sum())
-                if n_bin == 0:
-                    continue
-                freq = float(hit[sel].mean())
-                expected = float(qvals[b][sel].mean())
-                se = math.sqrt(max(expected * (1 - expected), 1e-12) / n_bin)
-                stats.append({
-                    "statistic": f"first_jump_target_{b}_bin{k}_chain_vs_q",
-                    "empirical": freq,
-                    "analytic": expected,
-                    "stderr": se,
-                    "pass": bool(abs(freq - expected) <= 4.0 * se + 1e-9),
-                })
-        # cross-check of overall target frequencies, chain vs direct PDP
-        for b in others:
-            p1 = float(np.mean([f[1] == b for f in jumped]))
-            p2 = float(np.mean([f[1] == b for f in jumped_pdp])) if jumped_pdp else 0.0
-            se = math.sqrt(
-                max(p1 * (1 - p1), 1e-12) / len(jumped)
-                + max(p2 * (1 - p2), 1e-12) / max(len(jumped_pdp), 1)
-            )
-            stats.append({
-                "statistic": f"first_jump_target_{b}_pdp_vs_chain",
-                "empirical": p2,
-                "analytic": p1,
-                "stderr": se,
-                "pass": bool(abs(p1 - p2) <= 4.0 * se + 1e-9),
-            })
-    return stats
 
 
 def cmd_pdp_check(args) -> int:

@@ -91,11 +91,6 @@ class _SubExp:
         except np.linalg.LinAlgError:
             pass
 
-    def expm(self, t: float) -> np.ndarray:
-        if self.ok:
-            return ((self.vecs * np.exp(t * self.vals)) @ self.inv).real
-        return expm(t * self.matrix)
-
     def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
         """Row vector x advanced to x e^{tM}."""
         if self.ok:
@@ -107,7 +102,7 @@ class _SubExp:
         if self.ok:
             coef = x @ self.vecs
             return ((np.exp(np.outer(ts, self.vals)) * coef) @ self.inv).real
-        return np.array([x @ expm(t * self.matrix) for t in ts])
+        return x @ expm(np.asarray(ts, dtype=float)[:, None, None] * self.matrix)
 
 
 class JumpRecord:
@@ -133,7 +128,6 @@ class FilterModel:
             a: {b: rate.entries[np.ix_(self.faces[a], self.faces[b])] for b in obs.labels if b != a}
             for a in obs.labels
         }
-        self._dense_exp_cache = {}
 
     # -- construction / restriction ------------------------------------
 
@@ -251,11 +245,7 @@ class FilterModel:
         obs_samples = list(obs_samples)
         if not obs_samples:
             raise ValueError("obs_samples must be nonempty")
-        key = float(delta)
-        P = self._dense_exp_cache.get(key)
-        if P is None:
-            P = expm(delta * self.rate.entries)
-            self._dense_exp_cache[key] = P
+        P = expm(delta * self.rate.entries)
         out = [self.restrict_normalize(mu, obs_samples[0])]
         for a in obs_samples[1:]:
             out.append(self.restrict_normalize(out[-1].weights @ P, a))

@@ -132,6 +132,20 @@ class TestFlow:
             expected = u / u.sum()
             assert np.abs(model.flow(t, fp).weights[:2] - expected).max() < 1e-12
 
+    def test_defective_face_batch_matches_one_time_at_a_time(self):
+        # face a's sub-generator [[-3, 1], [0, -3]] has no eigenbasis, so
+        # propagate_times takes the stacked expm fallback
+        rate = validate_generator([[-3, 1, 2], [0, -3, 3], [1, 1, -2]])
+        model = FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
+        sub = model._sub["a"]
+        assert not sub.ok
+        x = np.array([0.4, 0.6])
+        for n in (0, 1, 17):
+            ts = np.linspace(0.0, 3.0, n)
+            out = sub.propagate_times(x, ts)
+            assert out.shape == (n, 2)
+            assert all(np.array_equal(out[k], sub.propagate(x, t)) for k, t in enumerate(ts))
+
 
 class TestFlowOde:
     def test_t_zero(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pdpfilter import (
@@ -7,6 +9,7 @@ from pdpfilter import (
     Distribution,
     FilterModel,
     LabelEqualsSource,
+    RandomSource,
     ObservationModel,
     exit_survival_nonlinear,
     exit_survival_nonlinear_curve,
@@ -280,3 +283,138 @@ class TestExitSurvivalNonlinear:
             a = pdp.sojourn_survival(nu, t)
             b = exit_survival_nonlinear(model.rate, [0, 1], 0, t)
             assert abs(a - b) < 1e-8
+
+
+def bisect_sojourn(pdp, nu, u, horizon, tol=1e-10, max_iter=80):
+    """Reference inversion: plain bisection on S(t) > u, as the sampler used to do."""
+    if pdp.sojourn_survival(nu, horizon) > u:
+        return None
+    lo, hi = 0.0, float(horizon)
+    for _ in range(max_iter):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if pdp.sojourn_survival(nu, mid) > u:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# (generator, labels, start weights) of faces with something to trip the
+# Newton iteration: a defective Erlang-2 face (expm fallback) started where
+# the jump rate is 0, the absorbing face (always censored), a diagonalizable
+# face started at rate 0, and a face with exit rates 40-50 whose survival
+# underflows to 0 long before the horizon.
+SOJOURN_CASES = [
+    ([[-2, 2, 0], [0, -2, 2], [1, 0, -1]], ("a", "a", "b"), [1.0, 0.0, 0.0]),
+    ([[-2, 2, 0], [0, -2, 2], [1, 0, -1]], ("a", "a", "b"), [0.3, 0.7, 0.0]),
+    ([[0, 0, 0], [1, -2, 1], [0, 1, -1]], ("a", "b", "b"), [1.0, 0.0, 0.0]),
+    ([[-1, 1, 0], [0.5, -2, 1.5], [1, 1, -2]], ("a", "a", "b"), [1.0, 0.0, 0.0]),
+    ([[-41, 1, 40], [1, -51, 50], [1, 1, -2]], ("a", "a", "b"), [0.5, 0.5, 0.0]),
+]
+
+
+@st.composite
+def sojourn_problems(draw):
+    """A face point, a horizon and uniforms from the range of Generator.random()."""
+    if draw(st.booleans()):
+        rows, labels, weights = draw(st.sampled_from(SOJOURN_CASES))
+        model = FilterModel(validate_generator(rows), ObservationModel.from_assignment(labels))
+        nu = model.face_point(labels[0], weights)
+    else:
+        n = draw(st.integers(2, 5))
+        off = st.one_of(st.just(0.0), st.floats(0.05, 8.0))
+        rows = np.array([[draw(off) for _ in range(n)] for _ in range(n)])
+        np.fill_diagonal(rows, 0.0)
+        np.fill_diagonal(rows, -rows.sum(axis=1))
+        labels = ["a"] + [draw(st.sampled_from("ab")) for _ in range(n - 2)] + ["b"]
+        model = FilterModel(validate_generator(rows), ObservationModel.from_assignment(labels))
+        face = model.faces["a"]
+        mix = np.array([draw(st.floats(0.0, 1.0)) for _ in face])
+        if mix.sum() == 0:
+            mix[0] = 1.0
+        w = np.zeros(n)
+        w[face] = mix / mix.sum()
+        nu = model.face_point("a", w)
+    horizon = draw(st.sampled_from([0.5, 4.0, 30.0]))
+    ks = draw(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=6))
+    us = np.array([0.0] + [k / 2.0**53 for k in ks])
+    return BeliefPdp(model), nu, horizon, us
+
+
+def survival_slope(pdp, nu, t):
+    """|S'(t)| = (nu_A e^{t Lambda_A}) . r_A in closed form."""
+    model = pdp.model
+    sub = model._sub[nu.label]
+    w = sub.propagate(nu.weights[model.faces[nu.label]], t)
+    return abs(float(w @ sub.matrix.sum(axis=1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sojourn_problems())
+def test_newton_inversion_matches_bisection(problem):
+    pdp, nu, horizon, us = problem
+    times = pdp.sojourn_times(nu, us, horizon)
+    assert not np.isnan(times).any()
+    for u, t in zip(us, times):
+        ref = bisect_sojourn(pdp, nu, u, horizon)
+        single = pdp.sojourn_from_uniform(nu, u, horizon)
+        assert (ref is None) == (t == np.inf) == (single is None), (u, ref, t)
+        if ref is None:
+            continue
+        # Where S' is near 0 (a start at rate 0 and u close to 1), the
+        # computed S stays within its rounding error 8 eps u of u over a
+        # span of 8 eps u / |S'|, and either inversion may end anywhere in it.
+        slope = survival_slope(pdp, nu, ref)
+        flat = 8 * np.finfo(float).eps * u / max(slope, 1e-300) if u > 0 else 0.0
+        assert abs(t - ref) <= 2e-10 + flat, (u, t, ref, flat)
+        assert abs(single - ref) <= 2e-10 + flat, (u, single, ref, flat)
+
+
+def pdp5_model():
+    """The 5-state, 3-label model (labels a a b c c) of criterion 5."""
+    rate = validate_generator([
+        [-3, 1, 1, 1, 0],
+        [1, -4, 1, 0, 2],
+        [1, 1, -4, 1, 1],
+        [0, 1, 1, -3, 1],
+        [1, 1, 1, 1, -4],
+    ])
+    return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b", "c", "c")))
+
+
+def test_sojourn_batch_converges_in_few_steps(monkeypatch):
+    # bisection from [0, 4] to 1e-10 would take 36 steps
+    model = pdp5_model()
+    pdp = BeliefPdp(model)
+    nu0 = model.face_point("a", [0.5, 0.5, 0, 0, 0])
+    sub = model._sub["a"]
+    calls = []
+    propagate_times = sub.propagate_times
+    monkeypatch.setattr(sub, "propagate_times", lambda x, ts: calls.append(len(ts))
+                        or propagate_times(x, ts))
+    us = np.random.default_rng(32).random(2000)
+    times = pdp.sojourn_times(nu0, us, 4.0)
+    assert len(calls) <= 8, calls
+    assert sum(calls) <= 5 * np.isfinite(times).sum()
+
+
+def test_first_jumps_match_simulate_pdp():
+    model = pdp5_model()
+    pdp = BeliefPdp(model)
+    nu0 = model.face_point("a", [0.5, 0.5, 0, 0, 0])
+    n, horizon = 200, 1.0
+    base = RandomSource(11)
+    times, labels = pdp.first_jumps(nu0, horizon, [base.stream(n + r) for r in range(n)])
+    censored = 0
+    for r in range(n):
+        jumps = pdp.simulate_pdp(nu0, horizon, base.stream(n + r)).jumps
+        if not jumps:
+            censored += 1
+            assert times[r] == np.inf and labels[r] is None
+            continue
+        assert labels[r] == jumps[0].post.label
+        assert abs(times[r] - jumps[0].time) <= 2e-10
+    assert 0 < censored < n
+    assert {"b", "c"} <= set(labels[times < np.inf])
