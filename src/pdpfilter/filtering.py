@@ -14,6 +14,7 @@ jump to label b the filter restarts at the restriction/normalization of
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -30,6 +31,10 @@ from .chain import (
 FALLBACK_TOL = 1e-12
 DEG_TOL = 1e-12
 NEG_FACE_TOL = 1e-12
+# for ||rM||_1 <= 1/2 the Taylor tail of e^{rM} beyond this degree is below
+# 1.04 (1/2)^15 / 15! < 3e-17
+TAYLOR_DEGREE = 14
+_DEGREES = np.arange(TAYLOR_DEGREE + 1)[:, None]
 
 
 class NegativeFaceMass(ValueError):
@@ -37,7 +42,8 @@ class NegativeFaceMass(ValueError):
 
 
 class FaceMassVanished(RuntimeError):
-    """Flow mass hit zero; cannot occur for valid inputs (defensive)."""
+    """The unnormalized filter x_A e^{t Lambda_A} underflowed to zero mass, so
+    its normalization is not computable in floating point."""
 
 
 class DegenerateJump(RuntimeError):
@@ -64,9 +70,18 @@ class FacePoint:
 
 
 class _SubExp:
-    """x @ e^{tM} for a fixed small matrix M, with a cached-eigendecomposition
-    fast path (used when the eigenvector matrix is well conditioned) and a
-    scipy expm fallback."""
+    """Row vectors times e^{tM} for a fixed small matrix M (a sub-generator).
+
+    `rows` is the one kernel; `propagate` and `propagate_times` are its
+    single-time and batched-times forms.  When the eigenvector matrix of M is
+    well conditioned it uses the cached eigendecomposition.  Otherwise (a face
+    without an eigenbasis) it writes t = (k + s) h with 0 <= s < 1 and h a
+    power of two such that h ||M||_1 <= 1/2.  The row is multiplied by the
+    Taylor polynomial of e^{shM} of degree TAYLOR_DEGREE, summed from the
+    cached terms (hM)^j / j!, and then, for each base-16 digit k_i of k, by
+    the cached power e^{k_i 16^i hM}.  Only e^{hM} comes from scipy's expm,
+    once per face; every other power is a product of it.
+    """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
@@ -88,21 +103,65 @@ class _SubExp:
                 self.vals = vals
                 self.vecs = vecs
                 self.inv = np.linalg.inv(vecs)
+                return
         except np.linalg.LinAlgError:
             pass
+        norm = np.abs(matrix).sum(axis=0).max()
+        self.step = 2.0 ** math.floor(math.log2(0.5 / norm)) if norm > 0 else 1.0
+        terms = [np.eye(d)]
+        for j in range(1, TAYLOR_DEGREE + 1):
+            terms.append(terms[-1] @ (self.step * matrix) / j)
+        self._taylor = np.concatenate(terms, axis=1)  # (d, (TAYLOR_DEGREE + 1) d)
+        self._digits = []  # level i: e^{j 16^i hM} for j = 0..15, shape (16, d, d)
+        self._base = expm(self.step * matrix)  # e^{16^i hM} of the next level
+
+    def rows(self, x: np.ndarray, t) -> np.ndarray:
+        """x e^{tM} row by row: x is (d,) or (N, d), t a scalar or (N,).
+
+        One row and many times, many rows at one time, and one time per row
+        all broadcast to the (N, d) result.
+        """
+        t = np.asarray(t, dtype=float)
+        if self.ok:
+            coef = x @ self.vecs
+            growth = np.exp(t[..., None] * self.vals)
+            # FMA makes complex products round differently with the operands
+            # swapped; each order is the one the sojourn sampler was checked
+            # with, and pdp-check reports depend on these bits
+            scaled = coef * growth if t.ndim == 0 else growth * coef
+            return (scaled @ self.inv).real
+        d = self.matrix.shape[0]
+        k = np.floor(t / self.step)
+        s = t / self.step - k
+        terms = _row_times(x, self._taylor)
+        terms = terms.reshape(terms.shape[:-1] + (TAYLOR_DEGREE + 1, d))
+        out = (s[..., None, None] ** _DEGREES * terms).sum(axis=-2)
+        k = k.astype(np.int64)
+        for i in range((int(k.max(initial=0)).bit_length() + 3) // 4):
+            if i == len(self._digits):
+                table = [np.eye(d)]
+                for _ in range(15):
+                    table.append(table[-1] @ self._base)
+                self._digits.append(np.array(table))
+                self._base = table[-1] @ self._base
+            out = _row_times(out, self._digits[i][(k >> 4 * i) & 15])
+        return out
 
     def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
         """Row vector x advanced to x e^{tM}."""
-        if self.ok:
-            return (((x @ self.vecs) * np.exp(t * self.vals)) @ self.inv).real
-        return x @ expm(t * self.matrix)
+        return self.rows(x, t)
 
     def propagate_times(self, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """x e^{t M} for a batch of times; returns (len(ts), d)."""
-        if self.ok:
-            coef = x @ self.vecs
-            return ((np.exp(np.outer(ts, self.vals)) * coef) @ self.inv).real
-        return x @ expm(np.asarray(ts, dtype=float)[:, None, None] * self.matrix)
+        return self.rows(x, np.asarray(ts, dtype=float).ravel())
+
+
+def _row_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a for rows x, with a one matrix or one per row, summed term by term
+    in a fixed order, so that a row's result does not depend on the shape of
+    the batch it is computed in (BLAS rounds a vector product and a matrix
+    product differently)."""
+    return (x[..., :, None] * a).sum(axis=-2)
 
 
 class JumpRecord:

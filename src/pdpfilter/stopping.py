@@ -30,12 +30,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain import Distribution, RandomSource, observe, sample_chain
-from .filtering import FacePoint, FilterModel, FilterTrajectory
+from .filtering import FaceMassVanished, FacePoint, FilterModel, FilterTrajectory
 
 DEG_TOL = 1e-12
 DEFAULT_DT = 0.05
 DEFAULT_TAIL_TOL = 1e-7
 DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)
+REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entry
 
 
 class NoConvergence(RuntimeError):
@@ -390,7 +391,9 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
 
     tau = math.inf drops the g-term and integrates to the trajectory horizon.
     Segment integrals use chunked 16-point Gauss-Legendre on the smooth
-    closed-form flow.
+    closed-form flow; the nodes of all chunks on one label are propagated in
+    one batch.  Raises FaceMassVanished where x_A e^{t Lambda_A} underflows
+    at a node.
     """
     model = traj.model
     alpha = prob.alpha
@@ -405,32 +408,56 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
         t_end = min(tau, traj.horizon)
         g_term = math.exp(-alpha * tau) * float(traj.value_at(t_end).weights @ prob.g)
     nodes, weights = _gauss_nodes()
+    t0, t1, ids, starts, local = _segment_table(traj)
+    length = np.minimum(t1, t_end) - t0
+    n_chunks = np.where(length > 0, np.maximum(1, np.ceil(length / 2.0)), 0).astype(np.int64)
+    # chunk c of a segment spans [c, c + 1] * length / n_chunks
+    seg, c = _ragged(n_chunks)
+    step = (length / np.maximum(n_chunks, 1))[seg]
+    lo = c * step
+    half = 0.5 * (np.where(c + 1 == n_chunks[seg], length[seg], (c + 1) * step) - lo)[:, None]
+    ts = (lo[:, None] + half * (nodes + 1.0)).ravel()
+    wq = (half * weights).ravel()
+    seg = np.repeat(seg, len(nodes))
     total = 0.0
-    starts = [t for t, _ in traj.segments]
-    for k, (t0, fp) in enumerate(traj.segments):
-        t1 = starts[k + 1] if k + 1 < len(starts) else traj.horizon
-        b = min(t1, t_end)
-        if b <= t0:
-            break
-        face = model.faces[fp.label]
-        l_face = prob.l[face]
-        x = fp.weights[face]
-        sub = model._sub[fp.label]
-        length = b - t0
-        n_chunks = max(1, int(math.ceil(length / 2.0)))
-        edges = np.linspace(0.0, length, n_chunks + 1)
-        for c in range(n_chunks):
-            lo, hi = edges[c], edges[c + 1]
-            half = 0.5 * (hi - lo)
-            ts = lo + half * (nodes + 1.0)
-            W = sub.propagate_times(x, ts)
-            W = np.clip(W, 0.0, None)
-            mass = W.sum(axis=1)
-            vals = (W @ l_face) / np.where(mass > 0, mass, 1.0)
-            total += half * float(
-                (weights * np.exp(-alpha * (t0 + ts)) * vals).sum()
-            )
+    for i, a in enumerate(model.obs.labels):
+        on = ids[seg] == i
+        if not on.any():
+            continue
+        W = np.clip(model._sub[a].rows(starts[a][local[seg[on]]], ts[on]), 0.0, None)
+        mass = W.sum(axis=1)
+        at = t0[seg[on]] + ts[on]
+        vanished = ~(mass > 0)
+        if vanished.any():
+            raise FaceMassVanished(f"flow mass 0 on face {a!r} at t={at[vanished][0]}")
+        total += float((wq[on] * np.exp(-alpha * at)) @ ((W @ prob.l[model.faces[a]]) / mass))
     return total + g_term
+
+
+def _segment_table(traj: FilterTrajectory):
+    """Start times, end times and label indices of the trajectory's segments;
+    per label the face rows of its segment starts, and each segment's row
+    among them."""
+    model = traj.model
+    labels = model.obs.labels
+    t0 = np.array([t for t, _ in traj.segments])
+    t1 = np.append(t0[1:], traj.horizon)
+    ids = np.array([labels.index(fp.label) for _, fp in traj.segments])
+    starts = {}
+    local = np.empty(len(ids), dtype=np.int64)
+    for i, a in enumerate(labels):
+        mine = np.flatnonzero(ids == i)
+        local[mine] = np.arange(len(mine))
+        face = model.faces[a]
+        starts[a] = np.array([traj.segments[k][1].weights[face] for k in mine]).reshape(-1, len(face))
+    return t0, t1, ids, starts, local
+
+
+def _ragged(counts: np.ndarray):
+    """For counts[k] items owned by each k: every item's owner and its index
+    within the owner."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 _GAUSS = {}
@@ -453,6 +480,13 @@ class StoppingPolicy:
         self.prob = value.problem
         self.eps = float(eps)
         self.model = value.grid.model
+        # indices of the labels whose sub-generator is scalar: the flow (and
+        # the margin) is constant on their faces
+        self._frozen = []
+        for i, a in enumerate(self.model.obs.labels):
+            M = self.model._sub[a].matrix
+            if np.allclose(M, M[0, 0] * np.eye(len(M)), atol=1e-14):
+                self._frozen.append(i)
 
     def _margin_point(self, fp: FacePoint) -> float:
         return float(fp.weights @ self.prob.g) - self.value.at(fp) - self.eps
@@ -460,46 +494,87 @@ class StoppingPolicy:
     def should_stop(self, fp: FacePoint) -> bool:
         return self._margin_point(fp) <= 0.0
 
-    def _margin_batch(self, label, ts_rel, fp: FacePoint) -> np.ndarray:
-        model = self.model
-        face = model.faces[label]
-        W = model._sub[label].propagate_times(fp.weights[face], ts_rel)
+    def _margins(self, label, W: np.ndarray) -> np.ndarray:
+        """Margins nu g - v(nu) - eps at the normalized rows of W, unnormalized
+        points x_A e^{t Lambda_A} of face `label`; NaN where a row's mass is 0."""
+        face = self.model.faces[label]
         W = np.clip(W, 0.0, None)
-        W /= W.sum(axis=1, keepdims=True)
-        obstacle = W @ self.prob.g[face]
-        return obstacle - self.value.batch(label, W) - self.eps
+        mass = W.sum(axis=1)
+        ok = mass > 0
+        out = np.full(len(W), np.nan)
+        if ok.any():
+            W = W[ok] / mass[ok, None]
+            out[ok] = W @ self.prob.g[face] - self.value.batch(label, W) - self.eps
+        return out
 
     def first_entry(self, traj: FilterTrajectory, time_tol: float = 1e-8,
                     scan_step: float = 0.02) -> float:
-        """First entry time into the contact set along the trajectory, or inf."""
-        starts = [t for t, _ in traj.segments]
-        for k, (t0, fp) in enumerate(traj.segments):
-            t1 = starts[k + 1] if k + 1 < len(starts) else traj.horizon
-            if self._margin_point(fp) <= 0.0:
-                return t0
-            sub = self.model._sub[fp.label].matrix
-            if np.allclose(sub, sub[0, 0] * np.eye(len(sub)), atol=1e-14):
-                continue  # scalar sub-generator: flow (and margin) constant
-            length = t1 - t0
-            if length <= 0:
+        """First entry time into the contact set along the trajectory, or inf.
+
+        Each segment is scanned at its start and, unless its flow is frozen
+        (a scalar sub-generator), at ceil(length / scan_step) evenly spaced
+        times after it, the last one at the next jump; the margins of all
+        scan points on one label come from one propagation and one value
+        interpolation.  The first scan point with margin <= 0 ends the scan.
+        A segment start is returned as it is.  Otherwise the scan cell that
+        ends there is cut into REFINE_POINTS equal parts, the first part
+        whose right end has margin <= 0 is cut again, and so on until the
+        part is no wider than time_tol; its right end is returned.  So the
+        result has margin <= 0 and lies within time_tol of a time with
+        margin > 0: it is a first entry up to time_tol, and an entry and exit
+        that both fall between two points of a section are missed.  Raises
+        FaceMassVanished where x_A e^{t Lambda_A} underflows at a scan point
+        before the entry.
+        """
+        model = self.model
+        t0, t1, ids, starts, local = _segment_table(traj)
+        length = t1 - t0
+        moving = (length > 0) & ~np.isin(ids, self._frozen)
+        n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
+        # np.linspace(0, length, n_scan + 1) of every segment, flattened
+        seg, j = _ragged(n_scan + 1)
+        offsets = j * (length / np.maximum(n_scan, 1))[seg]
+        last = (j == n_scan[seg]) & (j > 0)
+        offsets[last] = length[seg[last]]
+        margins = np.empty(len(seg))
+        for i, a in enumerate(model.obs.labels):
+            on = ids[seg] == i
+            if not on.any():
                 continue
-            n_pts = max(2, int(math.ceil(length / scan_step)))
-            ts = np.linspace(0.0, length, n_pts + 1)[1:]
-            margins = self._margin_batch(fp.label, ts, fp)
-            hits = np.flatnonzero(margins <= 0.0)
-            if len(hits) == 0:
-                continue
-            j = hits[0]
-            lo = 0.0 if j == 0 else ts[j - 1]
-            hi = ts[j]
-            while hi - lo > time_tol:
-                mid = 0.5 * (lo + hi)
-                if self._margin_batch(fp.label, np.array([mid]), fp)[0] <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return t0 + hi
-        return math.inf
+            X, ts = starts[a][local[seg[on]]], offsets[on]
+            # segment starts as they are: the eigen path does not return x at t = 0
+            W = np.where((ts == 0.0)[:, None], X, model._sub[a].rows(X, ts))
+            margins[on] = self._margins(a, W)
+        hit = np.flatnonzero(margins <= 0.0)
+        lost = np.flatnonzero(np.isnan(margins))
+        first = hit[0] if hit.size else len(margins)
+        if lost.size and lost[0] < first:
+            k = seg[lost[0]]
+            raise FaceMassVanished(f"flow mass 0 on face {model.obs.labels[ids[k]]!r} "
+                                   f"at t={t0[k] + offsets[lost[0]]}")
+        if not hit.size:
+            return math.inf
+        k = seg[first]
+        if j[first] == 0:
+            return float(t0[k])
+        a = model.obs.labels[ids[k]]
+        x = starts[a][local[k]]
+        lo, hi = offsets[first - 1], offsets[first]
+        sub = model._sub[a]
+        width = math.inf
+        while time_tol < hi - lo < width:  # stops too where rounding halts progress
+            width = hi - lo
+            ts = np.linspace(lo, hi, REFINE_POINTS + 1)[1:-1]
+            section = self._margins(a, sub.rows(x, ts))
+            if np.isnan(section).any():
+                raise FaceMassVanished(f"flow mass 0 on face {a!r} after t={t0[k] + lo}")
+            inside = np.flatnonzero(section <= 0.0)
+            if inside.size:
+                i = inside[0]
+                lo, hi = (ts[i - 1] if i else lo), ts[i]
+            else:
+                lo = ts[-1]
+        return float(t0[k] + hi)
 
 
 def stopping_rule(v: ValueFunction, eps: float = None) -> StoppingPolicy:

@@ -13,6 +13,7 @@ from pdpfilter import (
     transition_semigroup,
     validate_generator,
 )
+from pdpfilter.filtering import _SubExp
 from conftest import (
     CYCLIC4_GENERATOR,
     CYCLIC4_LABELS,
@@ -134,7 +135,7 @@ class TestFlow:
 
     def test_defective_face_batch_matches_one_time_at_a_time(self):
         # face a's sub-generator [[-3, 1], [0, -3]] has no eigenbasis, so
-        # propagate_times takes the stacked expm fallback
+        # both take the Taylor-and-cached-powers path
         rate = validate_generator([[-3, 1, 2], [0, -3, 3], [1, 1, -2]])
         model = FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
         sub = model._sub["a"]
@@ -145,6 +146,34 @@ class TestFlow:
             out = sub.propagate_times(x, ts)
             assert out.shape == (n, 2)
             assert all(np.array_equal(out[k], sub.propagate(x, t)) for k, t in enumerate(ts))
+
+
+# faces without an eigenbasis: hexa6's Erlang pair, a 3x3 Jordan block, and a
+# near-defective matrix whose eigenvector matrix has condition number ~3e6
+DEFECTIVE_FACES = [
+    [[-3.0, 1.0], [0.0, -3.0]],
+    [[-2.0, 1.0, 0.0], [0.0, -2.0, 1.0], [0.0, 0.0, -2.0]],
+    [[-3.0, 1.0], [1e-13, -3.0]],
+]
+
+
+@pytest.mark.parametrize("matrix", DEFECTIVE_FACES)
+def test_defective_propagator_matches_expm(matrix):
+    from scipy.linalg import expm
+
+    matrix = np.array(matrix)
+    sub = _SubExp(matrix)
+    assert not sub.ok
+    ts = np.array([0.0, 1e-12, 0.37, 40.0])
+    gen = np.random.default_rng(7)
+    X = gen.dirichlet(np.ones(len(matrix)), size=len(ts))
+    expected = np.array([x @ expm(t * matrix) for x, t in zip(X, ts)])
+    np.testing.assert_allclose(sub.rows(X, ts), expected, rtol=1e-12, atol=0)
+    for x in X:
+        expected = np.array([x @ expm(t * matrix) for t in ts])
+        np.testing.assert_allclose(sub.propagate_times(x, ts), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([sub.propagate(x, t) for t in ts], expected,
+                                   rtol=1e-12, atol=0)
 
 
 class TestFlowOde:

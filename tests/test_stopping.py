@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdpfilter import (
     Distribution,
     FaceGrid,
+    FaceMassVanished,
     FilterModel,
     NoConvergence,
     ObservationModel,
     PiecewisePath,
     RandomSource,
+    StoppingPolicy,
     StoppingProblem,
     bellman_operator,
     classical_stopping_values,
     contraction_witness,
     cost_along_filter,
     evaluate_policy_mc,
+    observe,
+    sample_chain,
     solve_value,
     stopping_rule,
     validate_generator,
@@ -311,3 +317,257 @@ class TestClassicalOracle:
         vals = classical_stopping_values(rate, [-1.0, 0.5], [1.0, 1.0], 1.0)
         assert abs(vals[0] - (-1.0)) < 1e-6
         assert abs(vals[1] - 0.5) < 1e-6
+
+
+# -- the batched policy kernels against per-segment references ---------------
+
+def reference_margins(policy, label, ts_rel, fp):
+    """Margins at times ts_rel after the segment start fp, one segment at a time."""
+    model = policy.model
+    face = model.faces[label]
+    W = model._sub[label].propagate_times(fp.weights[face], ts_rel)
+    W = np.clip(W, 0.0, None)
+    W /= W.sum(axis=1, keepdims=True)
+    return W @ policy.prob.g[face] - policy.value.batch(label, W) - policy.eps
+
+
+def reference_first_entry(policy, traj, time_tol=1e-8, scan_step=0.02):
+    """Reference first entry: per-segment scan, then bisection of the first
+    scan cell that ends in the contact set."""
+    starts = [t for t, _ in traj.segments]
+    for k, (t0, fp) in enumerate(traj.segments):
+        t1 = starts[k + 1] if k + 1 < len(starts) else traj.horizon
+        if policy.should_stop(fp):
+            return t0
+        sub = policy.model._sub[fp.label].matrix
+        if np.allclose(sub, sub[0, 0] * np.eye(len(sub)), atol=1e-14):
+            continue
+        length = t1 - t0
+        if length <= 0:
+            continue
+        n_pts = max(2, int(math.ceil(length / scan_step)))
+        ts = np.linspace(0.0, length, n_pts + 1)[1:]
+        hits = np.flatnonzero(reference_margins(policy, fp.label, ts, fp) <= 0.0)
+        if len(hits) == 0:
+            continue
+        j = hits[0]
+        lo = 0.0 if j == 0 else ts[j - 1]
+        hi = ts[j]
+        while hi - lo > time_tol:
+            mid = 0.5 * (lo + hi)
+            if reference_margins(policy, fp.label, np.array([mid]), fp)[0] <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        return t0 + hi
+    return math.inf
+
+
+def reference_cost(traj, tau, prob):
+    """Reference cost_along_filter: one propagation per 16-node chunk."""
+    model = traj.model
+    if math.isinf(tau):
+        t_end, g_term = traj.horizon, 0.0
+    else:
+        t_end = min(tau, traj.horizon)
+        g_term = math.exp(-prob.alpha * tau) * float(traj.value_at(t_end).weights @ prob.g)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    starts = [t for t, _ in traj.segments]
+    for k, (t0, fp) in enumerate(traj.segments):
+        t1 = starts[k + 1] if k + 1 < len(starts) else traj.horizon
+        b = min(t1, t_end)
+        if b <= t0:
+            break
+        face = model.faces[fp.label]
+        x = fp.weights[face]
+        length = b - t0
+        n_chunks = max(1, int(math.ceil(length / 2.0)))
+        edges = np.linspace(0.0, length, n_chunks + 1)
+        for c in range(n_chunks):
+            half = 0.5 * (edges[c + 1] - edges[c])
+            ts = edges[c] + half * (nodes + 1.0)
+            W = np.clip(model._sub[fp.label].propagate_times(x, ts), 0.0, None)
+            vals = (W @ prob.l[face]) / W.sum(axis=1)
+            total += half * float((weights * np.exp(-prob.alpha * (t0 + ts)) * vals).sum())
+    return total + g_term
+
+
+HEXA6_GENERATOR = [
+    [-3, 1, 1, 0, 1, 0],
+    [0, -2, 1, 1, 0, 0],
+    [1, 0, -3, 1, 0, 1],
+    [1, 1, 0, -3, 0, 1],
+    [1, 0, 1, 0, -3, 1],
+    [1, 1, 0, 1, 0, -3],
+]
+
+# (generator, labels) of fixed models: a defective Erlang pair next to a
+# one-state (scalar) face; a 4-state face next to the defective pair; and two
+# 2-state faces with scalar sub-generators
+POLICY_MODELS = [
+    ([[-2, 2, 0], [0, -2, 2], [1, 0, -1]], ("a", "a", "b")),
+    (HEXA6_GENERATOR, ("a", "a", "a", "a", "b", "b")),
+    ([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]], ("1", "0", "1", "0")),
+]
+
+
+@st.composite
+def policy_problems(draw):
+    """A policy on a model with faces of 1 to 4 states, and a filter path.
+
+    The policy is either solved, or has a margin nu g - v(nu) - eps that is
+    affine on each face: positive at the start of a drawn segment and
+    negative at a drawn time in it, or positive everywhere on a face whose
+    flow is frozen, so that entries inside segments are common.
+    """
+    if draw(st.booleans()):
+        rows, labels = draw(st.sampled_from(POLICY_MODELS))
+        rows = np.array(rows, dtype=float)
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+        labels = tuple(str(i) for i, size in enumerate(sizes) for _ in range(size))
+        n = len(labels)
+        off = st.one_of(st.just(0.0), st.floats(0.05, 4.0))
+        rows = np.array([[draw(off) for _ in range(n)] for _ in range(n)])
+        np.fill_diagonal(rows, 0.0)
+        np.fill_diagonal(rows, -rows.sum(axis=1))
+    model = FilterModel(validate_generator(rows), ObservationModel.from_assignment(labels))
+    n = model.n
+    mu = Distribution(np.full(n, 1.0 / n))
+    horizon = draw(st.sampled_from([3.0, 10.0]))
+    path = sample_chain(model.rate, mu, horizon, RandomSource(draw(st.integers(0, 2**32 - 1))))
+    traj = model.run_filter(observe(path, model.obs), mu)
+    cost = st.floats(0.0, 5.0)
+    prob = StoppingProblem(g=[draw(cost) for _ in range(n)], l=[draw(cost) for _ in range(n)],
+                           alpha=draw(st.floats(0.5, 2.0)))
+    grid = FaceGrid(model, draw(st.sampled_from([3, 6])))
+    if draw(st.booleans()):
+        return stopping_rule(solve_value(model, prob, grid, tol=1e-6)), traj
+    eps = 1e-6
+    values = {}
+    for a, face in model.faces.items():
+        slope = np.array([draw(st.floats(-1.0, 1.0)) for _ in face])
+        ends = [t for t, _ in traj.segments[1:]] + [traj.horizon]
+        own = [(t0, t1) for (t0, fp), t1 in zip(traj.segments, ends) if fp.label == a]
+        sub = model._sub[a].matrix
+        if own and not np.allclose(sub, sub[0, 0] * np.eye(len(face))):
+            t0, t1 = own[0] if draw(st.booleans()) else draw(st.sampled_from(own))
+            s = t0 + draw(st.floats(0.0, 1.0)) * (t1 - t0)
+            rise = float((traj.value_at(t0).weights[face] - traj.value_at(s).weights[face]) @ slope)
+            if rise < 0:
+                slope = -slope  # outside the contact set at t0
+            # 1e-7 below 0 at s, so that no scan point is a tie decided by rounding
+            level = -float(traj.value_at(s).weights[face] @ slope) - 1e-7
+        else:  # no entry on this face
+            level = draw(st.floats(0.01, 1.0)) - float((grid.points[a] @ slope).min())
+        margin = grid.points[a] @ slope + level
+        values[a] = grid.points[a] @ prob.g[face] - eps - margin
+    return StoppingPolicy(ValueFunction(grid, values, prob), eps), traj
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy_problems())
+def test_first_entry_matches_segment_scan_and_bisection(problem):
+    policy, traj = problem
+    time_tol, scan_step = 1e-8, 0.02
+    tau = policy.first_entry(traj, time_tol, scan_step)
+    ref = reference_first_entry(policy, traj, time_tol, scan_step)
+    assert math.isinf(tau) == math.isinf(ref), (tau, ref)
+    if math.isinf(tau):
+        return
+    assert policy.should_stop(traj.value_at(tau))
+    if abs(tau - ref) > 2 * time_tol:
+        # both lie in the first scan cell that ends in the contact set; the
+        # sections found an entry there that bisection stepped over
+        assert tau < ref <= tau + scan_step, (tau, ref)
+
+
+def test_first_entry_takes_the_earlier_of_two_entries_in_one_scan_cell():
+    # face a = {0, 1}: the filter moves from (1, 0) toward state 1, so
+    # nu_1(t) increases.  The margin, set on a fine grid as a function of
+    # nu_1, is <= 0 on a dip around t in [0.503, 0.506] and again from
+    # t = 0.515 on: two entries in the scan cell [0.50, 0.52].
+    rate = validate_generator([[-1, 1, 0], [0, -0.5, 0.5], [0, 0, 0]])
+    model = FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
+    traj = model.run_filter(PiecewisePath("a", (), 1.0), Distribution([1.0, 0.0, 0.0]))
+    prob = StoppingProblem(g=[0.0, 1.0, 0.0], l=[0.0, 0.0, 0.0], alpha=1.0)
+
+    def nu1(t):
+        return traj.value_at(t).weights[1]
+
+    grid = FaceGrid(model, 2000)
+    p = grid.points["a"][:, 1]
+    dip = (p >= nu1(0.503)) & (p <= nu1(0.506))
+    margin = np.where(dip | (p >= nu1(0.515)), -1.0, 1.0)
+    eps = 1e-3
+    values = {"a": grid.points["a"] @ prob.g[:2] - eps - margin, "b": np.zeros(1)}
+    policy = StoppingPolicy(ValueFunction(grid, values, prob), eps)
+    tau = policy.first_entry(traj)
+    ref = reference_first_entry(policy, traj)
+    assert 0.51 < ref < 0.52
+    assert 0.5025 < tau < 0.5035, tau
+    assert policy.should_stop(traj.value_at(tau))
+    assert not policy.should_stop(traj.value_at(tau - 2e-8))
+
+
+def hexa6_trajectories(n, horizon=8.0):
+    model = FilterModel(validate_generator(HEXA6_GENERATOR),
+                        ObservationModel.from_assignment(("a", "a", "a", "a", "b", "b")))
+    mu = Distribution(np.full(6, 1.0 / 6))
+    trajs = []
+    for r in range(n):
+        path = sample_chain(model.rate, mu, horizon, RandomSource(61, r))
+        traj = model.run_filter(observe(path, model.obs), mu)
+        if {fp.label for _, fp in traj.segments} == {"a", "b"}:
+            trajs.append(traj)
+    return trajs
+
+
+def test_batched_cost_matches_per_chunk_reference():
+    prob = StoppingProblem(g=[1, 3, 0.5, 2, 4, 0.2], l=[0.5, 0.2, 1, 0.3, 0.8, 1.5], alpha=0.5)
+    trajs = hexa6_trajectories(20)
+    assert len(trajs) >= 10
+    for traj in trajs:
+        jumps = traj.jump_times
+        # infinite tau, a start, jump times, times inside segments, the horizon
+        taus = [math.inf, 0.0, jumps[0], jumps[-1], 0.5 * (jumps[0] + jumps[-1]),
+                traj.horizon - 1e-3, traj.horizon]
+        for tau in taus:
+            got = cost_along_filter(traj, tau, prob)
+            assert abs(got - reference_cost(traj, tau, prob)) <= 1e-12, (tau, got)
+
+
+def underflow_model():
+    """ROADMAP 3's face {0, 1}: exit rates 40-50, so x_A e^{t Lambda_A}
+    underflows to 0 near t = 18."""
+    rate = validate_generator([[-41, 1, 40], [1, -51, 50], [1, 1, -2]])
+    return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
+
+
+class TestFaceMassUnderflow:
+    def make_traj(self):
+        model = underflow_model()
+        return model.run_filter(PiecewisePath("a", (), 30.0), Distribution([0.5, 0.5, 0.0]))
+
+    def test_cost_raises(self):
+        traj = self.make_traj()
+        prob = StoppingProblem(g=np.zeros(3), l=np.ones(3), alpha=0.5)
+        with pytest.raises(FaceMassVanished):
+            cost_along_filter(traj, math.inf, prob)
+        # up to a time before the underflow the integral is exact
+        assert abs(cost_along_filter(traj, 1.0, prob) - (1 - math.exp(-0.5)) / 0.5) < 1e-12
+
+    def test_first_entry_raises_when_the_scan_reaches_the_underflow(self):
+        traj = self.make_traj()
+        prob = StoppingProblem(g=[1.0, 2.0, 0.0], l=np.ones(3), alpha=0.5)
+        grid = FaceGrid(traj.model, 4)
+        psi = psi_values(grid, prob)
+        never = StoppingPolicy(ValueFunction(grid, {a: v - 1.0 for a, v in psi.items()}, prob),
+                               1e-6)
+        with pytest.raises(FaceMassVanished):
+            never.first_entry(traj)
+        # an entry before the underflow is still found
+        now = StoppingPolicy(ValueFunction(grid, {a: v + 1.0 for a, v in psi.items()}, prob),
+                             1e-6)
+        assert now.first_entry(traj) == 0.0
