@@ -43,7 +43,6 @@ from .stopping import (
     StoppingPolicy,
     StoppingProblem,
     ValueFunction,
-    bellman_operator,
     classical_stopping_values,
     contraction_witness,
     cost_along_filter,

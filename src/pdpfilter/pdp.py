@@ -7,6 +7,9 @@ Characteristics on a face with label a and level set A:
     jump law    Q(nu, .)    = atoms H_b[nu Lambda] with mass
                               q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu)
 
+All three come from the flux nu Lambda 1_{h^{-1}(b)} of face rows into every
+label b, which BeliefPdp._flux computes for a batch of rows at once.
+
 Sojourn survival has the closed form S(t) = (nu_A e^{t Lambda_A}) . 1, and
 S'(t) = -(nu_A e^{t Lambda_A}) . r_A with r_A = -Lambda_A 1 the exit rates of
 the face, so one propagation of nu_A gives both.  Sojourns are sampled by
@@ -70,12 +73,28 @@ class BeliefPdp:
         if len(model.obs.labels) < 2:
             raise ValueError("PDP representation requires at least two labels")
         self.model = model
+        labels = model.obs.labels
+        self._others = {a: [b for b in labels if b != a] for a in labels}
+        self._out_rows = {a: model.rate.entries[model.faces[a]] for a in labels}
+
+    def _flux(self, a, X):
+        """Fluxes X Lambda 1_{h^{-1}(b)} of face rows X of label a.
+
+        X is (d,) or (N, d) on the level set A of a, normalized or not.
+        Returns X Lambda[A, :], the rate, and the flux into every label
+        b != a in the order of _others[a], along the last axis.  The rate is
+        the sum of those fluxes: it equals -X Lambda 1_A, but its terms are
+        off-diagonal, so it has no cancellation and the jump masses sum to 1.
+        """
+        vec = X @ self._out_rows[a]
+        faces = self.model.faces
+        flux = np.stack([vec[..., faces[b]].sum(axis=-1) for b in self._others[a]], axis=-1)
+        return vec, flux.sum(axis=-1), flux
 
     def jump_rate(self, nu: FacePoint) -> float:
         """lambda(nu) = -nu Lambda 1_{h^{-1}(a)} (nonnegative on the face)."""
-        face = self.model.faces[nu.label]
-        rate = -float((nu.weights @ self.model.rate.entries)[face].sum())
-        return max(rate, 0.0)
+        x = nu.weights[self.model.faces[nu.label]]
+        return max(0.0, float(self._flux(nu.label, x)[1]))
 
     def jump_measure(self, nu: FacePoint, deg_tol: float = DEG_TOL) -> JumpLaw:
         """Atoms H_b[nu Lambda] with mass q(nu, b) for b != a.
@@ -84,19 +103,14 @@ class BeliefPdp:
         is returned, flagged degenerate (never sampled since the rate is 0).
         """
         model = self.model
-        vec = nu.weights @ model.rate.entries
-        lam = -float(vec[model.faces[nu.label]].sum())
-        others = [b for b in model.obs.labels if b != nu.label]
+        vec, lam, flux = self._flux(nu.label, nu.weights[model.faces[nu.label]])
+        others = self._others[nu.label]
         if lam < deg_tol:
             share = 1.0 / len(others)
             atoms = [(model.restrict_normalize(vec, b), share) for b in others]
             return JumpLaw(atoms, nu, degenerate=True)
-        atoms = []
-        for b in others:
-            flux = float(vec[model.faces[b]].sum())
-            if flux <= 0:
-                continue
-            atoms.append((model.restrict_normalize(vec, b), flux / lam))
+        atoms = [(model.restrict_normalize(vec, b), float(f / lam))
+                 for b, f in zip(others, flux) if f > 0]
         return JumpLaw(atoms, nu)
 
     def sojourn_survival(self, nu: FacePoint, t: float) -> float:
@@ -221,17 +235,15 @@ class BeliefPdp:
         labels = np.full(len(us), None, dtype=object)
         jumped = np.flatnonzero(times < math.inf)
         face = model.faces[nu.label]
-        # pre-jump points as model.flow gives them, then their flux nu Lambda
+        # pre-jump points as model.flow gives them, then their fluxes
         wa = model._sub[nu.label].propagate_times(nu.weights[face], times[jumped])
         mass = wa.sum(axis=1, keepdims=True)
         if (mass <= 0).any():
             raise FaceMassVanished(f"flow mass {mass.min()} at a sampled jump")
         pre = np.clip(wa, 0.0, None) / mass
         pre /= pre.sum(axis=1, keepdims=True)
-        vec = pre @ model.rate.entries[face]
-        lam = -vec[:, face].sum(axis=1)
-        others = [b for b in model.obs.labels if b != nu.label]
-        flux = np.stack([vec[:, model.faces[b]].sum(axis=1) for b in others], axis=1)
+        _, lam, flux = self._flux(nu.label, pre)
+        others = self._others[nu.label]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(flux > 0, flux / lam[:, None], 0.0)
         q[lam < DEG_TOL] = 1.0 / len(others)
@@ -253,13 +265,9 @@ class BeliefPdp:
             raise LabelEqualsSource("target label equals source label")
         if t < 0:
             raise ValueError("t must be nonnegative")
-        model = self.model
-        face = model.faces[nu.label]
-        wa = model._sub[nu.label].propagate(nu.weights[face], t)
-        vec = np.zeros(model.n)
-        vec[face] = wa
-        flux = float((vec @ model.rate.entries)[model.faces[b]].sum())
-        return max(flux, 0.0)
+        wa = self.model._sub[nu.label].propagate(nu.weights[self.model.faces[nu.label]], t)
+        flux = self._flux(nu.label, wa)[2]
+        return max(float(flux[self._others[nu.label].index(b)]), 0.0)
 
 
 def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts,
@@ -359,7 +367,7 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
         "pass": bool(dev_cross < 2.0 * dkw),
     })
     # target-label frequencies binned by pre-jump position (equivalently by T_1)
-    others = [b for b in labels if b != a0]
+    others = pdp._others[a0]
     jumped = chain_times < math.inf
     if jumped.any():
         times = chain_times[jumped]
@@ -368,11 +376,12 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
         edges = np.quantile(times, [0.0, 0.25, 0.5, 0.75, 1.0])
         edges[-1] += 1e-9
         which = np.digitize(times, edges[1:-1])
-        # q(phi(t, nu0), b) at every observed jump time: ratio of target fluxes
-        dens = {c: np.array([pdp.jump_time_density(nu0, t, c) for t in times])
-                for c in others}
-        total_flux = sum(dens.values())
-        qvals = {c: dens[c] / np.where(total_flux > 0, total_flux, 1.0) for c in others}
+        # q(phi(t, nu0), b) at every observed jump time: ratio of the
+        # jump-time densities, the target fluxes of nu0_A e^{t Lambda_A}
+        wa = model._sub[a0].rows(nu0.weights[model.faces[a0]], times)
+        dens = np.clip(pdp._flux(a0, wa)[2], 0.0, None)
+        total_flux = dens.sum(axis=1, keepdims=True)
+        qvals = dict(zip(others, (dens / np.where(total_flux > 0, total_flux, 1.0)).T))
         for b in others:
             hit = (hits == b).astype(float)
             for k in range(4):

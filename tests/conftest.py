@@ -20,6 +20,26 @@ def cyclic4():
     return FilterModel(rate, obs)
 
 
+def three_state_model():
+    """3-state model whose face {0, 1} has a non-diagonal sub-generator,
+    so the filter flow is genuinely nonlinear."""
+    rate = validate_generator([[-2, 1, 1], [1, -3, 2], [2, 1, -3]])
+    return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
+
+
+def pdp5_model():
+    """5-state, 3-label model (labels a a b c c) whose jump target law varies
+    along the flow; criterion 5 checks its first-jump law."""
+    rate = validate_generator([
+        [-3, 1, 1, 1, 0],
+        [1, -4, 1, 0, 2],
+        [1, 1, -4, 1, 1],
+        [0, 1, 1, -3, 1],
+        [1, 1, 1, 1, -4],
+    ])
+    return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b", "c", "c")))
+
+
 @pytest.fixture(scope="session")
 def uniform4():
     return Distribution([0.25, 0.25, 0.25, 0.25])

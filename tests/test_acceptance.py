@@ -4,7 +4,6 @@ Each test prints a one-line PASS summary with its elapsed time; the assertions
 carry the quantitative thresholds.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from pdpfilter import (
-    BeliefPdp,
     Distribution,
     FaceGrid,
     FilterModel,
@@ -36,14 +34,9 @@ from pdpfilter import (
 )
 from pdpfilter.cli import main, run_from_manifest
 from pdpfilter.filtering import _rk4_flow_batch
+from pdpfilter.pdp import pdp_check_statistics
 from pdpfilter.stopping import ValueFunction, psi_values
-from conftest import (
-    CYCLIC4_GENERATOR,
-    CYCLIC4_LABELS,
-    random_face_point,
-    random_observation,
-    random_rate_matrix,
-)
+from conftest import pdp5_model, random_face_point, random_observation, random_rate_matrix
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
@@ -180,96 +173,33 @@ def test_criterion_4_dyadic_convergence():
     print(f"criterion 4 PASS: dyadic error ratios {[f'{r:.3f}' for r in ratios]} in {dt:.2f}s")
 
 
-def _first_jump_samples(model, nu0, n, horizon, seed):
-    """First observation-jump (time, label) from chain-driven filter runs and
-    from direct PDP sampling of the sojourn and jump laws; None = censored."""
-    pdp = BeliefPdp(model)
-    nu0_dist = Distribution(nu0.weights)
-    gen = np.random.default_rng(seed)
-    chain_first = []
-    for _ in range(n):
-        path = sample_chain(model.rate, nu0_dist, horizon, gen)
-        y = observe(path, model.obs)
-        chain_first.append(y.jumps[0] if y.jumps else None)
-    pdp_first = []
-    for _ in range(n):
-        s = pdp.sample_sojourn(nu0, horizon, gen)
-        if s is None:
-            pdp_first.append(None)
-            continue
-        law = pdp.jump_measure(model.flow(s, nu0))
-        masses = np.cumsum([m for _, m in law.atoms])
-        k = min(int(np.searchsorted(masses, gen.random(), side="right")),
-                len(law.atoms) - 1)
-        pdp_first.append((s, law.atoms[k][0].label))
-    return pdp, chain_first, pdp_first
-
-
-def _empirical_survival(first, horizon, t_grid):
-    times = np.array([horizon if f is None else f[0] for f in first])
-    return np.array([(times > t).mean() for t in t_grid])
-
-
 def test_criterion_5_pdp_law_equivalence(cyclic4):
+    # the pass flags of pdp_check_statistics use a DKW bound that is looser
+    # than 0.01 at n = 50000, so the thresholds are asserted here
     t0 = time.perf_counter()
-    n = 100000
-    horizon = 8.0
     nu0 = cyclic4.restrict_normalize(Distribution([0.25] * 4), "1")
-    pdp, chain_first, pdp_first = _first_jump_samples(cyclic4, nu0, n, horizon, 1003)
-    t_grid = np.linspace(0.0, horizon, 101)
-    analytic = np.array([pdp.sojourn_survival(nu0, t) for t in t_grid])
-    surv_chain = _empirical_survival(chain_first, horizon, t_grid)
-    surv_pdp = _empirical_survival(pdp_first, horizon, t_grid)
-    dev_chain = float(np.abs(surv_chain - analytic).max())
-    dev_cross = float(np.abs(surv_chain - surv_pdp).max())
+    stats = {s["statistic"]: s for s in pdp_check_statistics(
+        cyclic4, Distribution(nu0.weights), 100000, 8.0, 1003)}
+    dev_chain = stats["first_jump_survival_chain_vs_analytic_sup_dev"]["empirical"]
+    dev_cross = stats["first_jump_survival_pdp_vs_chain_sup_dev"]["empirical"]
     assert dev_chain < 0.01, dev_chain
     assert dev_cross < 0.01, dev_cross
     # binary observation: the jump target is deterministic, check it outright
-    assert all(f[1] == "0" for f in chain_first if f is not None)
-    assert all(f[1] == "0" for f in pdp_first if f is not None)
+    target = stats["first_jump_target_0_pdp_vs_chain"]
+    assert target["analytic"] == target["empirical"] == 1.0, target
 
     # second model with three labels and a moving pre-jump position, so the
     # target law q genuinely varies along the flow
-    rate = validate_generator([
-        [-3, 1, 1, 1, 0],
-        [1, -4, 1, 0, 2],
-        [1, 1, -4, 1, 1],
-        [0, 1, 1, -3, 1],
-        [1, 1, 1, 1, -4],
-    ])
-    obs = ObservationModel.from_assignment(("a", "a", "b", "c", "c"))
-    model2 = FilterModel(rate, obs)
-    nu0b = model2.face_point("a", [0.5, 0.5, 0, 0, 0])
-    n2 = 50000
-    horizon2 = 4.0
-    pdp2, chain2, pdp_direct2 = _first_jump_samples(model2, nu0b, n2, horizon2, 1004)
-    t_grid2 = np.linspace(0.0, horizon2, 101)
-    analytic2 = np.array([pdp2.sojourn_survival(nu0b, t) for t in t_grid2])
-    assert np.abs(_empirical_survival(chain2, horizon2, t_grid2) - analytic2).max() < 0.01
-
-    jumped = [f for f in chain2 if f is not None]
-    times = np.array([f[0] for f in jumped])
-    edges = np.quantile(times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    edges[-1] += 1e-9
-    which = np.digitize(times, edges[1:-1])
+    stats2 = {s["statistic"]: s for s in pdp_check_statistics(
+        pdp5_model(), Distribution([0.5, 0.5, 0, 0, 0]), 50000, 4.0, 1004)}
+    assert stats2["first_jump_survival_chain_vs_analytic_sup_dev"]["empirical"] < 0.01
     for b in ("b", "c"):
-        dens_b = np.array([pdp2.jump_time_density(nu0b, t, b) for t in times])
-        total = np.array([sum(pdp2.jump_time_density(nu0b, t, c) for c in ("b", "c"))
-                          for t in times])
-        q = dens_b / total
-        hit = np.array([f[1] == b for f in jumped], dtype=float)
-        for k in range(4):
-            sel = which == k
-            freq = float(hit[sel].mean())
-            expected = float(q[sel].mean())
-            se = math.sqrt(max(expected * (1 - expected), 1e-12) / int(sel.sum()))
-            assert abs(freq - expected) <= 4.0 * se, (b, k, freq, expected, se)
-        # direct PDP matches chain-driven target frequencies
-        jumped_pdp = [f for f in pdp_direct2 if f is not None]
-        p1 = float(np.mean([f[1] == b for f in jumped]))
-        p2 = float(np.mean([f[1] == b for f in jumped_pdp]))
-        se = math.sqrt(p1 * (1 - p1) / len(jumped) + p2 * (1 - p2) / len(jumped_pdp))
-        assert abs(p1 - p2) <= 4.0 * se, (b, p1, p2, se)
+        # chain-driven target frequencies in four quantile bins of T_1 against
+        # the mean of q(phi(T_1, nu0), b), then against direct PDP sampling
+        for name in [f"first_jump_target_{b}_bin{k}_chain_vs_q" for k in range(4)] + [
+                f"first_jump_target_{b}_pdp_vs_chain"]:
+            s = stats2[name]
+            assert abs(s["empirical"] - s["analytic"]) <= 4.0 * s["stderr"], s
 
     dt = elapsed_since(t0)
     assert dt < 120.0, dt
@@ -288,7 +218,6 @@ class ThresholdPolicy:
         self.theta = float(theta)
 
     def first_entry(self, traj):
-        starts = [t for t, _ in traj.segments]
         for t0, fp in traj.segments:
             if float(fp.weights @ self.g) <= self.theta:
                 return t0

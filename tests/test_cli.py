@@ -1,9 +1,7 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from pdpfilter.cli import main, run_from_manifest
 

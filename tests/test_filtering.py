@@ -14,21 +14,7 @@ from pdpfilter import (
     validate_generator,
 )
 from pdpfilter.filtering import _SubExp
-from conftest import (
-    CYCLIC4_GENERATOR,
-    CYCLIC4_LABELS,
-    random_face_point,
-    random_observation,
-    random_rate_matrix,
-)
-
-
-def three_state_model():
-    """3-state model whose face {0, 1} has a non-diagonal sub-generator,
-    so the filter flow is genuinely nonlinear."""
-    rate = validate_generator([[-2, 1, 1], [1, -3, 2], [2, 1, -3]])
-    obs = ObservationModel.from_assignment(("a", "a", "b"))
-    return FilterModel(rate, obs)
+from conftest import random_face_point, random_observation, random_rate_matrix, three_state_model
 
 
 class TestRestrictNormalize:

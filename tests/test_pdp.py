@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,20 +16,19 @@ from pdpfilter import (
     exit_survival_nonlinear,
     exit_survival_nonlinear_curve,
     exit_survival_oracle,
+    observe,
+    sample_chain,
     validate_generator,
 )
+from pdpfilter.pdp import DEG_TOL, pdp_check_statistics
 from conftest import (
     CYCLIC4_GENERATOR,
+    pdp5_model,
     random_face_point,
     random_observation,
     random_rate_matrix,
+    three_state_model,
 )
-
-
-def three_state_model():
-    rate = validate_generator([[-2, 1, 1], [1, -3, 2], [2, 1, -3]])
-    obs = ObservationModel.from_assignment(("a", "a", "b"))
-    return FilterModel(rate, obs)
 
 
 def absorbing_face_model():
@@ -372,18 +373,6 @@ def test_newton_inversion_matches_bisection(problem):
         assert abs(single - ref) <= 2e-10 + flat, (u, single, ref, flat)
 
 
-def pdp5_model():
-    """The 5-state, 3-label model (labels a a b c c) of criterion 5."""
-    rate = validate_generator([
-        [-3, 1, 1, 1, 0],
-        [1, -4, 1, 0, 2],
-        [1, 1, -4, 1, 1],
-        [0, 1, 1, -3, 1],
-        [1, 1, 1, 1, -4],
-    ])
-    return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b", "c", "c")))
-
-
 def test_sojourn_batch_converges_in_few_steps(monkeypatch):
     # bisection from [0, 4] to 1e-10 would take 36 steps
     model = pdp5_model()
@@ -418,3 +407,78 @@ def test_first_jumps_match_simulate_pdp():
         assert abs(times[r] - jumps[0].time) <= 2e-10
     assert 0 < censored < n
     assert {"b", "c"} <= set(labels[times < np.inf])
+
+
+def dense_fluxes(model, wa):
+    """Flux of face-"0" rows wa into every label, the dense way: scatter wa
+    into an n-vector, multiply by Lambda, sum each face.  Also returns each
+    sum's scale sum |w_i Lambda_ij|: the flux into the own face cancels, so
+    it is exact to a relative 1e-12 of that scale, not of its value."""
+    vec = np.zeros(model.n)
+    vec[model.faces["0"]] = wa
+    row, terms = vec @ model.rate.entries, np.abs(vec) @ np.abs(model.rate.entries)
+    return ({b: row[f].sum() for b, f in model.faces.items()},
+            {b: terms[f].sum() for b, f in model.faces.items()})
+
+
+@st.composite
+def flux_problems(draw):
+    """Faces of 1-4 states and 2-4 labels, a start on face "0" and a time.
+
+    Face "0" may have no transition into the last label (zero flux), and its
+    state 0 may have no exit from the face (rate 0 at a point mass there).
+    """
+    sizes = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 4)))]
+    labels = [str(k) for k, size in enumerate(sizes) for _ in range(size)]
+    n, d = len(labels), sizes[0]
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 8.0))
+    rows = np.array([[draw(rate) for _ in range(n)] for _ in range(n)])
+    if draw(st.booleans()):
+        rows[:d, n - sizes[-1]:] = 0.0
+    if draw(st.booleans()):
+        rows[0, d:] = 0.0
+    np.fill_diagonal(rows, 0.0)
+    np.fill_diagonal(rows, -rows.sum(axis=1))
+    model = FilterModel(validate_generator(rows), ObservationModel.from_assignment(labels))
+    w = np.zeros(n)
+    w[:d] = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for _ in range(d)]
+    w[0] += w.sum() == 0
+    return model, model.face_point("0", w / w.sum()), draw(st.sampled_from([0.0, 0.4, 3.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flux_problems())
+def test_fluxes_match_dense_formula(problem):
+    model, nu, t = problem
+    pdp, x, others = BeliefPdp(model), nu.weights[model.faces["0"]], model.obs.labels[1:]
+    flux, scale = dense_fluxes(model, x)
+    lam = -flux["0"]
+    assert abs(pdp.jump_rate(nu) - max(lam, 0.0)) <= 1e-12 * scale["0"]
+    law = pdp.jump_measure(nu)
+    assert law.degenerate == (lam < DEG_TOL) or abs(lam - DEG_TOL) <= 1e-12 * scale["0"]
+    if not law.degenerate:
+        assert [target.label for target, _ in law.atoms] == [b for b in others if flux[b] > 0]
+        for target, mass in law.atoms:
+            b = target.label
+            assert abs(mass * lam - flux[b]) <= 1e-12 * (scale[b] + mass * scale["0"])
+            ref = model.restrict_normalize(nu.weights @ model.rate.entries, b).weights
+            np.testing.assert_allclose(target.weights, ref, rtol=1e-12, atol=0)
+    flux, scale = dense_fluxes(model, model._sub["0"].propagate(x, t))
+    for b in others:
+        assert abs(pdp.jump_time_density(nu, t, b) - max(flux[b], 0.0)) <= 1e-12 * scale[b]
+
+    # q-values at the chain's first jump times, as means over quantile bins
+    mu, n_sims, horizon, base = Distribution(nu.weights), 30, 2.0, RandomSource(5)
+    stats = {s["statistic"]: s for s in pdp_check_statistics(model, mu, n_sims, horizon, 5)}
+    paths = [observe(sample_chain(model.rate, mu, horizon, base.stream(r)), model.obs)
+             for r in range(n_sims)]
+    times = np.array([y.jumps[0][0] for y in paths if y.jumps])
+    dens = np.array([[max(dense_fluxes(model, model._sub["0"].propagate(x, s))[0][b], 0.0)
+                      for b in others] for s in times]).reshape(-1, len(others))
+    q = dens / dens.sum(axis=1, keepdims=True)
+    edges = np.quantile(times, [0.25, 0.5, 0.75]) if times.size else []
+    which = np.digitize(times, edges)
+    for (j, b), k in itertools.product(enumerate(others), range(4)):
+        if (which == k).any():
+            got = stats[f"first_jump_target_{b}_bin{k}_chain_vs_q"]["analytic"]
+            assert abs(got - q[which == k, j].mean()) <= 1e-12

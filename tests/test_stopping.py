@@ -16,7 +16,6 @@ from pdpfilter import (
     RandomSource,
     StoppingPolicy,
     StoppingProblem,
-    bellman_operator,
     classical_stopping_values,
     contraction_witness,
     cost_along_filter,
@@ -167,13 +166,13 @@ class TestBellman:
             assert np.abs(vf.values[a]).max() < 1e-12
 
     def test_iterates_monotone_decreasing(self, cyclic4):
-        grid = FaceGrid(cyclic4, 16)
-        v0 = ValueFunction(grid, psi_values(grid, PROB4), PROB4)
-        v1 = bellman_operator(v0, PROB4)
-        v2 = bellman_operator(v1, PROB4)
+        op = BellmanOperator(cyclic4, FaceGrid(cyclic4, 16), PROB4)
+        v0 = psi_values(op.grid, PROB4)
+        v1 = op.apply(v0)
+        v2 = op.apply(v1)
         for a in ("1", "0"):
-            assert (v1.values[a] <= v0.values[a] + 1e-12).all()
-            assert (v2.values[a] <= v1.values[a] + 1e-12).all()
+            assert (v1[a] <= v0[a] + 1e-12).all()
+            assert (v2[a] <= v1[a] + 1e-12).all()
 
     def test_value_below_obstacle(self, solved4):
         psi = psi_values(solved4.grid, PROB4)
