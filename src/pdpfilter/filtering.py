@@ -10,6 +10,11 @@ whose closed form is the normalization of x_A e^{t Lambda_A} (the
 unnormalized filter solves u' = u Lambda_A on the face).  At an observation
 jump to label b the filter restarts at the restriction/normalization of
 (pre-jump) Lambda to h^{-1}(b).
+
+A FacePoint is a label plus its weights x on the level set of that label;
+the n-vector `weights`, zero off the face, is derived from x.  The jump
+denominator and the post-jump vector come from FilterModel._flux, the same
+face-local flux routine that gives the PDP jump rate and jump law.
 """
 
 from __future__ import annotations
@@ -55,32 +60,42 @@ class DegenerateJump(RuntimeError):
 
 
 class FacePoint:
-    """A point of the effective simplex: a label plus weights on its level set."""
+    """A point of the effective simplex: a label plus its read-only weights x
+    on the level set h^{-1}(label), in the order of model.faces[label]."""
 
-    __slots__ = ("label", "weights", "degenerate")
+    __slots__ = ("label", "x", "degenerate", "_model")
 
-    def __init__(self, label, weights: np.ndarray, degenerate: bool = False):
+    def __init__(self, model: "FilterModel", label, x: np.ndarray, degenerate: bool = False):
         self.label = label
-        self.weights = weights
+        self.x = x
         self.degenerate = degenerate
-        weights.setflags(write=False)
+        self._model = model
+        x.setflags(write=False)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """x as a read-only n-vector, zero off the face."""
+        w = np.zeros(self._model.n)
+        w[self._model.faces[self.label]] = self.x
+        w.setflags(write=False)
+        return w
 
     def __repr__(self):
-        return f"FacePoint(label={self.label!r}, weights={self.weights})"
+        return f"FacePoint(label={self.label!r}, x={self.x})"
 
 
 class _SubExp:
     """Row vectors times e^{tM} for a fixed small matrix M (a sub-generator).
 
-    `rows` is the one kernel; `propagate` and `propagate_times` are its
-    single-time and batched-times forms.  When the eigenvector matrix of M is
-    well conditioned it uses the cached eigendecomposition.  Otherwise (a face
-    without an eigenbasis) it writes t = (k + s) h with 0 <= s < 1 and h a
-    power of two such that h ||M||_1 <= 1/2.  The row is multiplied by the
-    Taylor polynomial of e^{shM} of degree TAYLOR_DEGREE, summed from the
-    cached terms (hM)^j / j!, and then, for each base-16 digit k_i of k, by
-    the cached power e^{k_i 16^i hM}.  Only e^{hM} comes from scipy's expm,
-    once per face; every other power is a product of it.
+    `rows` is the one kernel, for one time or a batch of times.  When the
+    eigenvector matrix of M is well conditioned it uses the cached
+    eigendecomposition.  Otherwise (a face without an eigenbasis) it writes
+    t = (k + s) h with 0 <= s < 1 and h a power of two such that
+    h ||M||_1 <= 1/2.  The row is multiplied by the Taylor polynomial of
+    e^{shM} of degree TAYLOR_DEGREE, summed from the cached terms
+    (hM)^j / j!, and then, for each base-16 digit k_i of k, by the cached
+    power e^{k_i 16^i hM}.  Only e^{hM} comes from scipy's expm, once per
+    face; every other power is a product of it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -147,14 +162,6 @@ class _SubExp:
             out = _row_times(out, self._digits[i][(k >> 4 * i) & 15])
         return out
 
-    def propagate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Row vector x advanced to x e^{tM}."""
-        return self.rows(x, t)
-
-    def propagate_times(self, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """x e^{t M} for a batch of times; returns (len(ts), d)."""
-        return self.rows(x, np.asarray(ts, dtype=float).ravel())
-
 
 def _row_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """x @ a for rows x, with a one matrix or one per row, summed term by term
@@ -162,6 +169,19 @@ def _row_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     the batch it is computed in (BLAS rounds a vector product and a matrix
     product differently)."""
     return (x[..., :, None] * a).sum(axis=-2)
+
+
+def _normalize_rows(W: np.ndarray, t) -> np.ndarray:
+    """Rows of W, unnormalized points x_A e^{t Lambda_A}, clipped at 0 and
+    normalized: the points of the flow.  Raises FaceMassVanished where a
+    row's mass is not positive; t, the time or times of W, goes into its
+    message."""
+    mass = W.sum(axis=-1, keepdims=True)
+    if (mass <= 0).any():
+        raise FaceMassVanished(f"flow mass {mass.min()} at t={t}")
+    X = np.clip(W, 0.0, None) / mass
+    X /= X.sum(axis=-1, keepdims=True)
+    return X
 
 
 class JumpRecord:
@@ -182,6 +202,8 @@ class FilterModel:
         self.n = rate.n
         self.faces = {a: obs.level_sets[a] for a in obs.labels}
         self._sub = {a: _SubExp(sub_generator(rate, self.faces[a])) for a in obs.labels}
+        self._others = {a: [b for b in obs.labels if b != a] for a in obs.labels}
+        self._out_rows = {a: rate.entries[self.faces[a]] for a in obs.labels}
         # off-face blocks Lambda[A, B] used by jump laws
         self._blocks = {
             a: {b: rate.entries[np.ix_(self.faces[a], self.faces[b])] for b in obs.labels if b != a}
@@ -203,14 +225,14 @@ class FilterModel:
             raise ValueError("negative weight")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError("weights must sum to 1")
-        return FacePoint(label, w)
+        return FacePoint(self, label, w[face])
 
-    def restrict_normalize(self, mu, a, fallback_tol: float = FALLBACK_TOL) -> FacePoint:
+    def restrict_normalize(self, mu, a) -> FacePoint:
         """Operator H_a: restrict mu to h^{-1}(a) and normalize.
 
         Entries off the face are ignored; entries on the face must be
         nonnegative (tiny negatives within 1e-12 are clipped).  If the face
-        mass is below fallback_tol the uniform fallback measure on the face
+        mass is below FALLBACK_TOL the uniform fallback measure on the face
         is returned with the degenerate flag set.
         """
         mu = np.asarray(mu.weights if isinstance(mu, Distribution) else mu, dtype=float).ravel()
@@ -220,12 +242,27 @@ class FilterModel:
             raise NegativeFaceMass(f"negative mass on face {a!r}")
         vals = np.clip(vals, 0.0, None)
         mass = vals.sum()
-        w = np.zeros(self.n)
-        if mass < fallback_tol:
-            w[face] = 1.0 / len(face)
-            return FacePoint(a, w, degenerate=True)
-        w[face] = vals / mass
-        return FacePoint(a, w)
+        if mass < FALLBACK_TOL:
+            return FacePoint(self, a, np.full(len(face), 1.0 / len(face)), degenerate=True)
+        return FacePoint(self, a, vals / mass)
+
+    def _flux(self, a, X):
+        """Fluxes X Lambda 1_{h^{-1}(b)} of face rows X of label a.
+
+        X is (d,) or (N, d) on the level set A of a, normalized or not.
+        Returns X Lambda[A, :], the rate, and the flux into every label
+        b != a in the order of _others[a], along the last axis.  The rate is
+        the sum of those fluxes: it equals -X Lambda 1_A, but its terms are
+        off-diagonal, so it has no cancellation and the jump masses sum to 1.
+        """
+        vec = X @ self._out_rows[a]
+        others = self._others[a]
+        # filled in place: np.stack of the sums costs more than the sums on
+        # the one-row calls of run_filter
+        flux = np.empty(vec.shape[:-1] + (len(others),))
+        for i, b in enumerate(others):
+            flux[..., i] = vec[..., self.faces[b]].sum(axis=-1)
+        return vec, flux.sum(axis=-1), flux
 
     # -- flow ------------------------------------------------------------
 
@@ -241,15 +278,7 @@ class FilterModel:
         """Closed-form flow: normalization of x_A e^{t Lambda_A} on the face."""
         if t < 0:
             raise ValueError("t must be nonnegative")
-        face = self.faces[x.label]
-        wa = self._sub[x.label].propagate(x.weights[face], t)
-        mass = wa.sum()
-        if mass <= 0:
-            raise FaceMassVanished(f"flow mass {mass} at t={t}")
-        w = np.zeros(self.n)
-        w[face] = np.clip(wa, 0.0, None) / mass
-        w[face] /= w[face].sum()
-        return FacePoint(x.label, w)
+        return FacePoint(self, x.label, _normalize_rows(self._sub[x.label].rows(x.x, t), t))
 
     def flow_ode(self, t: float, x: FacePoint, step: float = 1e-3) -> FacePoint:
         """Fixed-step RK4 integration of the nonlinear field (cross-check of flow)."""
@@ -264,30 +293,28 @@ class FilterModel:
         # below; the guard only catches genuinely diverged integrations
         if abs(mass - 1.0) > 1e-3:
             raise FaceMassVanished(f"RK4 mass drifted to {mass}")
-        w = np.zeros(self.n)
-        w[face] = np.clip(y[face], 0.0, None)
-        w /= w.sum()
-        return FacePoint(x.label, w)
+        y = np.clip(y[face], 0.0, None)
+        return FacePoint(self, x.label, y / y.sum())
 
     # -- filtering --------------------------------------------------------
 
-    def run_filter(self, obs_path: PiecewisePath, mu: Distribution, deg_tol: float = DEG_TOL) -> "FilterTrajectory":
+    def run_filter(self, obs_path: PiecewisePath, mu: Distribution) -> "FilterTrajectory":
         """Exact filter along an observation path.
 
         Pi_0 = H_{Y_0}[mu]; flows between observation jumps; at a jump to
         label b restarts at H_b[Pi_{T-} Lambda].  Raises DegenerateJump when
-        the jump denominator is <= deg_tol (path inconsistent with the model).
+        the jump denominator, the flux into b, is <= DEG_TOL (path
+        inconsistent with the model).
         """
-        Q = self.rate.entries
         current = self.restrict_normalize(mu, obs_path.initial_value)
         segments = [(0.0, current)]
         jumps = []
         t_prev = 0.0
         for tj, b in obs_path.jumps:
             pre = self.flow(tj - t_prev, current)
-            vec = pre.weights @ Q
-            den = vec[self.faces[b]].sum()
-            if den <= deg_tol:
+            vec, _, flux = self._flux(pre.label, pre.x)
+            den = flux[self._others[pre.label].index(b)]
+            if den <= DEG_TOL:
                 raise DegenerateJump(tj, float(den))
             post = self.restrict_normalize(vec, b)
             jumps.append(JumpRecord(tj, pre, post))

@@ -8,7 +8,8 @@ Characteristics on a face with label a and level set A:
                               q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu)
 
 All three come from the flux nu Lambda 1_{h^{-1}(b)} of face rows into every
-label b, which BeliefPdp._flux computes for a batch of rows at once.
+label b, which FilterModel._flux computes for a batch of rows at once; the
+filter's own jumps use it too.
 
 Sojourn survival has the closed form S(t) = (nu_A e^{t Lambda_A}) . 1, and
 S'(t) = -(nu_A e^{t Lambda_A}) . r_A with r_A = -Lambda_A 1 the exit rates of
@@ -36,9 +37,15 @@ from .chain import (
     sample_chain,
     sub_generator,
 )
-from .filtering import FaceMassVanished, FacePoint, FilterModel, FilterTrajectory, JumpRecord
+from .filtering import (
+    DEG_TOL,
+    FacePoint,
+    FilterModel,
+    FilterTrajectory,
+    JumpRecord,
+    _normalize_rows,
+)
 
-DEG_TOL = 1e-12
 SOJOURN_TOL = 1e-10
 SOJOURN_MAX_ITER = 100
 
@@ -73,39 +80,21 @@ class BeliefPdp:
         if len(model.obs.labels) < 2:
             raise ValueError("PDP representation requires at least two labels")
         self.model = model
-        labels = model.obs.labels
-        self._others = {a: [b for b in labels if b != a] for a in labels}
-        self._out_rows = {a: model.rate.entries[model.faces[a]] for a in labels}
-
-    def _flux(self, a, X):
-        """Fluxes X Lambda 1_{h^{-1}(b)} of face rows X of label a.
-
-        X is (d,) or (N, d) on the level set A of a, normalized or not.
-        Returns X Lambda[A, :], the rate, and the flux into every label
-        b != a in the order of _others[a], along the last axis.  The rate is
-        the sum of those fluxes: it equals -X Lambda 1_A, but its terms are
-        off-diagonal, so it has no cancellation and the jump masses sum to 1.
-        """
-        vec = X @ self._out_rows[a]
-        faces = self.model.faces
-        flux = np.stack([vec[..., faces[b]].sum(axis=-1) for b in self._others[a]], axis=-1)
-        return vec, flux.sum(axis=-1), flux
 
     def jump_rate(self, nu: FacePoint) -> float:
         """lambda(nu) = -nu Lambda 1_{h^{-1}(a)} (nonnegative on the face)."""
-        x = nu.weights[self.model.faces[nu.label]]
-        return max(0.0, float(self._flux(nu.label, x)[1]))
+        return max(0.0, float(self.model._flux(nu.label, nu.x)[1]))
 
-    def jump_measure(self, nu: FacePoint, deg_tol: float = DEG_TOL) -> JumpLaw:
+    def jump_measure(self, nu: FacePoint) -> JumpLaw:
         """Atoms H_b[nu Lambda] with mass q(nu, b) for b != a.
 
-        When lambda(nu) < deg_tol the uniform fallback over the other labels
+        When lambda(nu) < DEG_TOL the uniform fallback over the other labels
         is returned, flagged degenerate (never sampled since the rate is 0).
         """
         model = self.model
-        vec, lam, flux = self._flux(nu.label, nu.weights[model.faces[nu.label]])
-        others = self._others[nu.label]
-        if lam < deg_tol:
+        vec, lam, flux = model._flux(nu.label, nu.x)
+        others = model._others[nu.label]
+        if lam < DEG_TOL:
             share = 1.0 / len(others)
             atoms = [(model.restrict_normalize(vec, b), share) for b in others]
             return JumpLaw(atoms, nu, degenerate=True)
@@ -119,8 +108,7 @@ class BeliefPdp:
             raise ValueError("t must be nonnegative")
         if t == 0:
             return 1.0
-        face = self.model.faces[nu.label]
-        wa = self.model._sub[nu.label].propagate(nu.weights[face], t)
+        wa = self.model._sub[nu.label].rows(nu.x, t)
         return float(min(max(wa.sum(), 0.0), 1.0))
 
     def sojourn_from_uniform(self, nu: FacePoint, u: float, horizon: float):
@@ -139,7 +127,7 @@ class BeliefPdp:
 
         Every draw keeps a bracket [lo, hi] with S(lo) > u >= S(hi), starting
         from [0, horizon].  Each step evaluates S and S' for all unfinished
-        draws in one propagate_times call, at the Newton point of
+        draws in one call of the propagator, at the Newton point of
         log S(t) = log u from the last evaluated time, moved SOJOURN_TOL / 4
         further so that the bracket closes from both sides.  A draw bisects
         instead where the rate is 0, the Newton point is not finite or leaves
@@ -151,7 +139,7 @@ class BeliefPdp:
         times = np.full(us.shape, math.inf)
         idx = np.flatnonzero(us >= self.sojourn_survival(nu, horizon))
         sub = self.model._sub[nu.label]
-        x = nu.weights[self.model.faces[nu.label]]
+        x = nu.x
         exit_rates = -sub.matrix.sum(axis=1)
         n = idx.size
         u = us[idx]
@@ -175,7 +163,7 @@ class BeliefPdp:
                 ok = ((rate > 0) & (lo < newton) & (newton < hi)
                       & (np.abs(newton - t) <= 0.5 * np.abs(step_old)))
                 nxt = np.where(ok, newton, 0.5 * (lo + hi))
-                w = sub.propagate_times(x, nxt)
+                w = sub.rows(x, nxt)
                 mass = w.sum(axis=1)
                 s = np.clip(mass, 0.0, 1.0)
                 above = s > u
@@ -234,16 +222,10 @@ class BeliefPdp:
         times = self.sojourn_times(nu, us[:, 0], horizon)
         labels = np.full(len(us), None, dtype=object)
         jumped = np.flatnonzero(times < math.inf)
-        face = model.faces[nu.label]
         # pre-jump points as model.flow gives them, then their fluxes
-        wa = model._sub[nu.label].propagate_times(nu.weights[face], times[jumped])
-        mass = wa.sum(axis=1, keepdims=True)
-        if (mass <= 0).any():
-            raise FaceMassVanished(f"flow mass {mass.min()} at a sampled jump")
-        pre = np.clip(wa, 0.0, None) / mass
-        pre /= pre.sum(axis=1, keepdims=True)
-        _, lam, flux = self._flux(nu.label, pre)
-        others = self._others[nu.label]
+        pre = _normalize_rows(model._sub[nu.label].rows(nu.x, times[jumped]), times[jumped])
+        _, lam, flux = model._flux(nu.label, pre)
+        others = model._others[nu.label]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(flux > 0, flux / lam[:, None], 0.0)
         q[lam < DEG_TOL] = 1.0 / len(others)
@@ -265,9 +247,9 @@ class BeliefPdp:
             raise LabelEqualsSource("target label equals source label")
         if t < 0:
             raise ValueError("t must be nonnegative")
-        wa = self.model._sub[nu.label].propagate(nu.weights[self.model.faces[nu.label]], t)
-        flux = self._flux(nu.label, wa)[2]
-        return max(float(flux[self._others[nu.label].index(b)]), 0.0)
+        wa = self.model._sub[nu.label].rows(nu.x, t)
+        flux = self.model._flux(nu.label, wa)[2]
+        return max(float(flux[self.model._others[nu.label].index(b)]), 0.0)
 
 
 def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts,
@@ -367,7 +349,7 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
         "pass": bool(dev_cross < 2.0 * dkw),
     })
     # target-label frequencies binned by pre-jump position (equivalently by T_1)
-    others = pdp._others[a0]
+    others = model._others[a0]
     jumped = chain_times < math.inf
     if jumped.any():
         times = chain_times[jumped]
@@ -378,8 +360,8 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
         which = np.digitize(times, edges[1:-1])
         # q(phi(t, nu0), b) at every observed jump time: ratio of the
         # jump-time densities, the target fluxes of nu0_A e^{t Lambda_A}
-        wa = model._sub[a0].rows(nu0.weights[model.faces[a0]], times)
-        dens = np.clip(pdp._flux(a0, wa)[2], 0.0, None)
+        wa = model._sub[a0].rows(nu0.x, times)
+        dens = np.clip(model._flux(a0, wa)[2], 0.0, None)
         total_flux = dens.sum(axis=1, keepdims=True)
         qvals = dict(zip(others, (dens / np.where(total_flux > 0, total_flux, 1.0)).T))
         for b in others:

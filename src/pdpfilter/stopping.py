@@ -29,9 +29,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain import Distribution, RandomSource, observe, sample_chain
-from .filtering import FaceMassVanished, FacePoint, FilterModel, FilterTrajectory
+from .filtering import DEG_TOL, FaceMassVanished, FacePoint, FilterModel, FilterTrajectory
 
-DEG_TOL = 1e-12
 DEFAULT_DT = 0.05
 DEFAULT_TAIL_TOL = 1e-7
 DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)
@@ -95,9 +94,7 @@ class FaceGrid:
         return len(self.points[a])
 
     def face_point(self, a, row: int) -> FacePoint:
-        w = np.zeros(self.model.n)
-        w[self.model.faces[a]] = self.points[a][row]
-        return FacePoint(a, w)
+        return FacePoint(self.model, a, self.points[a][row])
 
     def interpolation_weights(self, a, W):
         """Simplicial (Freudenthal/Kuhn) interpolation on the face lattice.
@@ -170,8 +167,7 @@ class ValueFunction:
         return (self.values[a][idx] * wgt).sum(axis=1)
 
     def at(self, fp: FacePoint) -> float:
-        face = self.grid.model.faces[fp.label]
-        return float(self.batch(fp.label, fp.weights[face][None, :])[0])
+        return float(self.batch(fp.label, fp.x[None, :])[0])
 
     __call__ = at
 
@@ -200,15 +196,12 @@ class BellmanOperator:
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem,
-                 dt: float = DEFAULT_DT, t_max: float = None,
-                 tail_tol: float = DEFAULT_TAIL_TOL,
-                 check_times=DEFAULT_CHECK_TIMES, deg_tol: float = DEG_TOL):
+                 dt: float = DEFAULT_DT, check_times=DEFAULT_CHECK_TIMES):
         self.model = model
         self.grid = grid
         self.prob = prob
         alpha = prob.alpha
-        if t_max is None:
-            t_max = math.ceil((-math.log(tail_tol) / alpha) / dt) * dt
+        t_max = math.ceil((-math.log(DEFAULT_TAIL_TOL) / alpha) / dt) * dt
         K = max(1, int(round(t_max / dt)))
         self.dt = dt
         self.K = K
@@ -250,8 +243,8 @@ class BellmanOperator:
                     continue
                 block = model._blocks[a][b]
                 db = block.shape[1]
-                jn = self._target_gather(b, W @ block, deg_tol, db)
-                jm = self._target_gather(b, Wm @ block, deg_tol, db)
+                jn = self._target_gather(b, W @ block, db)
+                jm = self._target_gather(b, Wm @ block, db)
                 entry["jump"].append((b, jn, jm))
             for k in list(self.check_ks) + [K]:
                 mass = entry["mass"][k]
@@ -260,14 +253,14 @@ class BellmanOperator:
                 entry["self_gather"][k] = (idx, wgt)
             self._pre[a] = entry
 
-    def _target_gather(self, b, T, deg_tol, db):
+    def _target_gather(self, b, T, db):
         """Flux and interpolation gather arrays for jump targets onto face b."""
         T = np.clip(T, 0.0, None)
         shape = T.shape[:2]
         flux = T.sum(axis=2)
-        denom = np.where(flux > deg_tol, flux, 1.0)
+        denom = np.where(flux > DEG_TOL, flux, 1.0)
         Tn = T / denom[..., None]
-        Tn[flux <= deg_tol] = 1.0 / db
+        Tn[flux <= DEG_TOL] = 1.0 / db
         idx, wgt = self.grid.interpolation_weights(b, Tn.reshape(-1, db))
         idx = idx.reshape(shape + (db + 1,))
         wgt = wgt.reshape(shape + (db + 1,))
@@ -291,37 +284,30 @@ class BellmanOperator:
         np.cumsum(inc, axis=0, out=I[1:])
         return I
 
-    def continuation_value(self, values: dict, a, k) -> np.ndarray:
-        """Continue-to-t_k branch: I_k + e^{-alpha t_k} S_k v(phi_k)."""
+    def _continuation(self, I: np.ndarray, values: dict, a, k) -> np.ndarray:
+        """Continue-to-t_k branch I_k + e^{-alpha t_k} S_k v(phi_k), with I
+        the cumulative integral of label a."""
         e = self._pre[a]
-        if k not in e["self_gather"]:
-            raise KeyError(f"time index {k} not precomputed")
-        I = self._cumulative(values, a)
         idx, wgt = e["self_gather"][k]
-        va = values[a]
-        return I[k] + self.disc[k] * e["mass"][k] * (va[idx] * wgt).sum(axis=1)
+        return I[k] + self.disc[k] * e["mass"][k] * (values[a][idx] * wgt).sum(axis=1)
 
     def apply(self, values: dict) -> dict:
         out = {}
         for a in self.model.obs.labels:
-            e = self._pre[a]
             I = self._cumulative(values, a)
-            g_stop = I + self.disc[:, None] * e["stop"]
+            g_stop = I + self.disc[:, None] * self._pre[a]["stop"]
             best = g_stop.min(axis=0)
-            va = values[a]
             for k in list(self.check_ks) + [self.K]:
-                idx, wgt = e["self_gather"][k]
-                cont = I[k] + self.disc[k] * e["mass"][k] * (va[idx] * wgt).sum(axis=1)
-                np.minimum(best, cont, out=best)
+                np.minimum(best, self._continuation(I, values, a, k), out=best)
             out[a] = best
         return out
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
-                tol: float = 1e-6, dt: float = DEFAULT_DT, t_max: float = None,
+                tol: float = 1e-6, dt: float = DEFAULT_DT,
                 max_iter: int = 10000, check_times=DEFAULT_CHECK_TIMES) -> ValueFunction:
     """Value iteration from the obstacle psi until the sup-norm change < tol."""
-    op = BellmanOperator(model, grid, prob, dt=dt, t_max=t_max, check_times=check_times)
+    op = BellmanOperator(model, grid, prob, dt=dt, check_times=check_times)
     values = psi_values(grid, prob)
     iterations = 0
     delta = math.inf
@@ -400,7 +386,8 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
         if tau < 0 or tau > traj.horizon + 1e-12:
             raise ValueError("tau must lie in [0, horizon] or be infinite")
         t_end = min(tau, traj.horizon)
-        g_term = math.exp(-alpha * tau) * float(traj.value_at(t_end).weights @ prob.g)
+        fp = traj.value_at(t_end)
+        g_term = math.exp(-alpha * tau) * float(fp.x @ prob.g[model.faces[fp.label]])
     nodes, weights = _gauss_nodes()
     t0, t1, ids, starts, local = _segment_table(traj)
     length = np.minimum(t1, t_end) - t0
@@ -442,8 +429,7 @@ def _segment_table(traj: FilterTrajectory):
     for i, a in enumerate(labels):
         mine = np.flatnonzero(ids == i)
         local[mine] = np.arange(len(mine))
-        face = model.faces[a]
-        starts[a] = np.array([traj.segments[k][1].weights[face] for k in mine]).reshape(-1, len(face))
+        starts[a] = np.array([traj.segments[k][1].x for k in mine]).reshape(-1, len(model.faces[a]))
     return t0, t1, ids, starts, local
 
 
@@ -482,11 +468,8 @@ class StoppingPolicy:
             if np.allclose(M, M[0, 0] * np.eye(len(M)), atol=1e-14):
                 self._frozen.append(i)
 
-    def _margin_point(self, fp: FacePoint) -> float:
-        return float(fp.weights @ self.prob.g) - self.value.at(fp) - self.eps
-
     def should_stop(self, fp: FacePoint) -> bool:
-        return self._margin_point(fp) <= 0.0
+        return bool(self._margins(fp.label, fp.x[None, :])[0] <= 0.0)
 
     def _margins(self, label, W: np.ndarray) -> np.ndarray:
         """Margins nu g - v(nu) - eps at the normalized rows of W, unnormalized
@@ -604,8 +587,7 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
 
 
 def verify_variational(v: ValueFunction, prob: StoppingProblem,
-                       t_checks=DEFAULT_CHECK_TIMES, tol: float = 5e-6,
-                       operator: BellmanOperator = None) -> dict:
+                       t_checks=DEFAULT_CHECK_TIMES, tol: float = 5e-6) -> dict:
     """Check u <= psi and u <= continue-to-t-then-u on the grid.
 
     The continuation expectation uses the same single-jump quadrature as the
@@ -615,9 +597,7 @@ def verify_variational(v: ValueFunction, prob: StoppingProblem,
     they hold up to its residual: the check confirms the fixed point, not the
     discretization.  At other times a new operator is built.
     """
-    op = operator
-    if op is None:
-        op = getattr(v, "_operator", None)
+    op = getattr(v, "_operator", None)
     model = v.grid.model
     needed = sorted({int(round(c / (op.dt if op else DEFAULT_DT))) for c in t_checks})
     if op is None or any(
@@ -628,14 +608,13 @@ def verify_variational(v: ValueFunction, prob: StoppingProblem,
     psi = psi_values(v.grid, prob)
     obstacle_violation = max(float((v.values[a] - psi[a]).max()) for a in psi)
     cont_violation = -math.inf
-    checked = []
-    for k in needed:
-        k = min(max(k, 1), op.K)
-        if k not in op._pre[model.obs.labels[0]]["self_gather"]:
-            continue
-        checked.append(op.times[k])
-        for a in model.obs.labels:
-            cont = op.continuation_value(v.values, a, k)
+    ks = [k for k in (min(max(k, 1), op.K) for k in needed)
+          if k in op._pre[model.obs.labels[0]]["self_gather"]]
+    checked = [op.times[k] for k in ks]
+    for a in model.obs.labels:
+        I = op._cumulative(v.values, a)
+        for k in ks:
+            cont = op._continuation(I, v.values, a, k)
             cont_violation = max(cont_violation, float((v.values[a] - cont).max()))
     g_max = float(np.abs(prob.g).max())
     l_max = float(np.abs(prob.l).max())

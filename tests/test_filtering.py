@@ -129,9 +129,9 @@ class TestFlow:
         x = np.array([0.4, 0.6])
         for n in (0, 1, 17):
             ts = np.linspace(0.0, 3.0, n)
-            out = sub.propagate_times(x, ts)
+            out = sub.rows(x, ts)
             assert out.shape == (n, 2)
-            assert all(np.array_equal(out[k], sub.propagate(x, t)) for k, t in enumerate(ts))
+            assert all(np.array_equal(out[k], sub.rows(x, t)) for k, t in enumerate(ts))
 
 
 # faces without an eigenbasis: hexa6's Erlang pair, a 3x3 Jordan block, and a
@@ -157,8 +157,8 @@ def test_defective_propagator_matches_expm(matrix):
     np.testing.assert_allclose(sub.rows(X, ts), expected, rtol=1e-12, atol=0)
     for x in X:
         expected = np.array([x @ expm(t * matrix) for t in ts])
-        np.testing.assert_allclose(sub.propagate_times(x, ts), expected, rtol=1e-12, atol=0)
-        np.testing.assert_allclose([sub.propagate(x, t) for t in ts], expected,
+        np.testing.assert_allclose(sub.rows(x, ts), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([sub.rows(x, t) for t in ts], expected,
                                    rtol=1e-12, atol=0)
 
 

@@ -348,7 +348,7 @@ def survival_slope(pdp, nu, t):
     """|S'(t)| = (nu_A e^{t Lambda_A}) . r_A in closed form."""
     model = pdp.model
     sub = model._sub[nu.label]
-    w = sub.propagate(nu.weights[model.faces[nu.label]], t)
+    w = sub.rows(nu.weights[model.faces[nu.label]], t)
     return abs(float(w @ sub.matrix.sum(axis=1)))
 
 
@@ -380,9 +380,14 @@ def test_sojourn_batch_converges_in_few_steps(monkeypatch):
     nu0 = model.face_point("a", [0.5, 0.5, 0, 0, 0])
     sub = model._sub["a"]
     calls = []
-    propagate_times = sub.propagate_times
-    monkeypatch.setattr(sub, "propagate_times", lambda x, ts: calls.append(len(ts))
-                        or propagate_times(x, ts))
+    rows = sub.rows
+
+    def counting_rows(x, ts):
+        if np.ndim(ts) == 1:  # a batched evaluation, not the scalar censoring check
+            calls.append(len(ts))
+        return rows(x, ts)
+
+    monkeypatch.setattr(sub, "rows", counting_rows)
     us = np.random.default_rng(32).random(2000)
     times = pdp.sojourn_times(nu0, us, 4.0)
     assert len(calls) <= 8, calls
@@ -463,7 +468,7 @@ def test_fluxes_match_dense_formula(problem):
             assert abs(mass * lam - flux[b]) <= 1e-12 * (scale[b] + mass * scale["0"])
             ref = model.restrict_normalize(nu.weights @ model.rate.entries, b).weights
             np.testing.assert_allclose(target.weights, ref, rtol=1e-12, atol=0)
-    flux, scale = dense_fluxes(model, model._sub["0"].propagate(x, t))
+    flux, scale = dense_fluxes(model, model._sub["0"].rows(x, t))
     for b in others:
         assert abs(pdp.jump_time_density(nu, t, b) - max(flux[b], 0.0)) <= 1e-12 * scale[b]
 
@@ -473,7 +478,7 @@ def test_fluxes_match_dense_formula(problem):
     paths = [observe(sample_chain(model.rate, mu, horizon, base.stream(r)), model.obs)
              for r in range(n_sims)]
     times = np.array([y.jumps[0][0] for y in paths if y.jumps])
-    dens = np.array([[max(dense_fluxes(model, model._sub["0"].propagate(x, s))[0][b], 0.0)
+    dens = np.array([[max(dense_fluxes(model, model._sub["0"].rows(x, s))[0][b], 0.0)
                       for b in others] for s in times]).reshape(-1, len(others))
     q = dens / dens.sum(axis=1, keepdims=True)
     edges = np.quantile(times, [0.25, 0.5, 0.75]) if times.size else []
@@ -482,3 +487,33 @@ def test_fluxes_match_dense_formula(problem):
         if (which == k).any():
             got = stats[f"first_jump_target_{b}_bin{k}_chain_vs_q"]["analytic"]
             assert abs(got - q[which == k, j].mean()) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(flux_problems(), st.integers(0, 2**32 - 1))
+def test_face_local_invariants(problem, seed):
+    """Filter points stay probability vectors on their faces, `weights` is x
+    scattered onto the face, the flow is a semigroup, and every jump law is a
+    law on the other faces."""
+    model, nu, t = problem
+    pdp, horizon = BeliefPdp(model), 4.0
+    mu = Distribution(np.full(model.n, 1.0 / model.n))
+    traj = model.run_filter(
+        observe(sample_chain(model.rate, mu, horizon, RandomSource(seed)), model.obs), mu)
+    points = [fp for _, fp in traj.segments]
+    points += [traj.value_at(s) for s in np.linspace(0.0, horizon, 9)]
+    for fp in points + [nu]:
+        atoms = pdp.jump_measure(fp).atoms
+        assert abs(sum(mass for _, mass in atoms) - 1.0) <= 1e-12
+        assert all(target.label != fp.label for target, _ in atoms)
+        for p in [fp] + [target for target, _ in atoms]:
+            face = model.faces[p.label]
+            assert p.x.shape == face.shape and (p.x >= 0).all()
+            assert abs(p.x.sum() - 1.0) <= 1e-12
+            w = p.weights
+            assert np.array_equal(w[face], p.x) and not np.delete(w, face).any()
+            assert not w.flags.writeable and not p.x.flags.writeable
+    # eigenbases are accepted up to condition number 1e6, so a propagation
+    # may be off by about 1e6 eps
+    one, two = model.flow(0.7 + t, nu), model.flow(t, model.flow(0.7, nu))
+    np.testing.assert_allclose(one.x, two.x, rtol=0, atol=1e-9)

@@ -76,6 +76,12 @@ class TestFaceGrid:
             assert (pts >= 0).all()
             assert np.abs(pts.sum(axis=1) - 1.0).max() < 1e-15
 
+    def test_face_point_is_a_grid_row(self, cyclic4):
+        grid = FaceGrid(cyclic4, 4)
+        fp = grid.face_point("0", 1)
+        assert fp.label == "0" and np.array_equal(fp.x, grid.points["0"][1])
+        assert np.array_equal(fp.weights, [0.0, 0.25, 0.0, 0.75])
+
     def test_interpolation_exact_on_grid(self, cyclic4):
         grid = FaceGrid(cyclic4, 10)
         gen = np.random.default_rng(40)
@@ -324,7 +330,7 @@ def reference_margins(policy, label, ts_rel, fp):
     """Margins at times ts_rel after the segment start fp, one segment at a time."""
     model = policy.model
     face = model.faces[label]
-    W = model._sub[label].propagate_times(fp.weights[face], ts_rel)
+    W = model._sub[label].rows(fp.weights[face], ts_rel)
     W = np.clip(W, 0.0, None)
     W /= W.sum(axis=1, keepdims=True)
     return W @ policy.prob.g[face] - policy.value.batch(label, W) - policy.eps
@@ -386,7 +392,7 @@ def reference_cost(traj, tau, prob):
         for c in range(n_chunks):
             half = 0.5 * (edges[c + 1] - edges[c])
             ts = edges[c] + half * (nodes + 1.0)
-            W = np.clip(model._sub[fp.label].propagate_times(x, ts), 0.0, None)
+            W = np.clip(model._sub[fp.label].rows(x, ts), 0.0, None)
             vals = (W @ prob.l[face]) / W.sum(axis=1)
             total += half * float((weights * np.exp(-prob.alpha * (t0 + ts)) * vals).sum())
     return total + g_term
