@@ -39,7 +39,7 @@ NEG_FACE_TOL = 1e-12
 # for ||rM||_1 <= 1/2 the Taylor tail of e^{rM} beyond this degree is below
 # 1.04 (1/2)^15 / 15! < 3e-17
 TAYLOR_DEGREE = 14
-_DEGREES = np.arange(TAYLOR_DEGREE + 1)[:, None]
+_DEGREES = np.arange(TAYLOR_DEGREE + 1)[:, None, None]
 
 
 class NegativeFaceMass(ValueError):
@@ -87,27 +87,28 @@ class FacePoint:
 class _SubExp:
     """Row vectors times e^{tM} for a fixed small matrix M (a sub-generator).
 
-    `rows` is the one kernel, for one time or a batch of times.  When the
-    eigenvector matrix of M is well conditioned it uses the cached
-    eigendecomposition.  Otherwise (a face without an eigenbasis) it writes
-    t = (k + s) h with 0 <= s < 1 and h a power of two such that
-    h ||M||_1 <= 1/2.  The row is multiplied by the Taylor polynomial of
-    e^{shM} of degree TAYLOR_DEGREE, summed from the cached terms
-    (hM)^j / j!, and then, for each base-16 digit k_i of k, by the cached
-    power e^{k_i 16^i hM}.  Only e^{hM} comes from scipy's expm, once per
-    face; every other power is a product of it.
+    `rows` is the one kernel, for one time or a batch of times, and it is
+    batch-invariant: it works on rows as columns and sums every product of a
+    row and a matrix term by term in a fixed order (_col_times), never by
+    BLAS, so a row's result does not depend on its batch.  At t = 0 it
+    returns x itself.
+
+    When the eigenvector matrix of M is well conditioned (one-state faces
+    included), x e^{tM} = (x P) e^{tB} P^{-1} in real form: P holds the real
+    eigenvectors, and Re v, Im v for each pair a +- ib, whose block of e^{tB}
+    is e^{at} [[cos bt, sin bt], [-sin bt, cos bt]].  Otherwise (a face
+    without an eigenbasis) it writes t = (k + s) h with 0 <= s < 1 and h a
+    power of two such that h ||M||_1 <= 1/2.  The row is multiplied by the
+    Taylor polynomial of e^{shM} of degree TAYLOR_DEGREE, summed from the
+    cached terms (hM)^j / j!, and then, for each base-16 digit k_i of k, by
+    the cached power e^{k_i 16^i hM}.  Only e^{hM} comes from scipy's expm,
+    once per face; every other power is a product of it.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self.ok = False
         d = matrix.shape[0]
-        if d == 1:
-            self.ok = True
-            self.vals = matrix[0].astype(complex)
-            self.vecs = np.ones((1, 1), dtype=complex)
-            self.inv = np.ones((1, 1), dtype=complex)
-            return
         try:
             vals, vecs = np.linalg.eig(matrix)
             cond = np.linalg.cond(vecs)
@@ -115,9 +116,13 @@ class _SubExp:
             scale = max(1.0, np.abs(matrix).max())
             if cond < 1e6 and np.abs(recon - matrix).max() < 1e-10 * scale:
                 self.ok = True
-                self.vals = vals
-                self.vecs = vecs
-                self.inv = np.linalg.inv(vecs)
+                # LAPACK lists a pair a +- ib as neighbours, +b first.  Column k
+                # of c e^{tB} is Re(e^{lam_k t}) c_k + Im(e^{lam_k t}) c_p(k), p(k)
+                # the other column of its block; lam is real if every eigenvalue is
+                P = np.where(vals.imag < 0, -vecs.imag, vecs.real)
+                self._P, self._Pinv = P[..., None], np.linalg.inv(P)[..., None]
+                self._lam = vals.conj()[:, None]
+                self._partner = np.arange(d) + np.sign(vals.imag).astype(np.int64)
                 return
         except np.linalg.LinAlgError:
             pass
@@ -126,7 +131,7 @@ class _SubExp:
         terms = [np.eye(d)]
         for j in range(1, TAYLOR_DEGREE + 1):
             terms.append(terms[-1] @ (self.step * matrix) / j)
-        self._taylor = np.concatenate(terms, axis=1)  # (d, (TAYLOR_DEGREE + 1) d)
+        self._taylor = np.concatenate(terms, axis=1)[..., None]  # (d, (TAYLOR_DEGREE + 1) d, 1)
         self._digits = []  # level i: e^{j 16^i hM} for j = 0..15, shape (16, d, d)
         self._base = expm(self.step * matrix)  # e^{16^i hM} of the next level
 
@@ -134,54 +139,59 @@ class _SubExp:
         """x e^{tM} row by row: x is (d,) or (N, d), t a scalar or (N,).
 
         One row and many times, many rows at one time, and one time per row
-        all broadcast to the (N, d) result.
+        all broadcast to the (N, d) result, and row i of it has the bits of
+        rows(x_i, t_i).
         """
         t = np.asarray(t, dtype=float)
-        if self.ok:
-            coef = x @ self.vecs
-            growth = np.exp(t[..., None] * self.vals)
-            # FMA makes complex products round differently with the operands
-            # swapped; each order is the one the sojourn sampler was checked
-            # with, and pdp-check reports depend on these bits
-            scaled = coef * growth if t.ndim == 0 else growth * coef
-            return (scaled @ self.inv).real
         d = self.matrix.shape[0]
-        k = np.floor(t / self.step)
-        s = t / self.step - k
-        terms = _row_times(x, self._taylor)
-        terms = terms.reshape(terms.shape[:-1] + (TAYLOR_DEGREE + 1, d))
-        out = (s[..., None, None] ** _DEGREES * terms).sum(axis=-2)
-        k = k.astype(np.int64)
-        for i in range((int(k.max(initial=0)).bit_length() + 3) // 4):
-            if i == len(self._digits):
-                table = [np.eye(d)]
-                for _ in range(15):
-                    table.append(table[-1] @ self._base)
-                self._digits.append(np.array(table))
-                self._base = table[-1] @ self._base
-            out = _row_times(out, self._digits[i][(k >> 4 * i) & 15])
-        return out
+        cols = x[:, None] if x.ndim == 1 else x.T
+        ts = t.reshape(-1)
+        if self.ok:
+            c = _col_times(self._P, cols)
+            # lam * ts rounds alike in any operand order: ts has no imaginary part
+            g = np.exp(self._lam * ts)
+            c = c * g if g.dtype == float else c * g.real + c[self._partner] * g.imag
+            out = _col_times(self._Pinv, c)
+            if np.count_nonzero(ts) < ts.size:
+                out = np.where(ts == 0.0, cols, out)
+        else:
+            k = np.floor(ts / self.step)
+            s = ts / self.step - k
+            terms = _col_times(self._taylor, cols).reshape(TAYLOR_DEGREE + 1, d, -1)
+            out = (s ** _DEGREES * terms).sum(axis=0)
+            k = k.astype(np.int64)
+            for i in range((int(k.max(initial=0)).bit_length() + 3) // 4):
+                if i == len(self._digits):
+                    table = [np.eye(d)]
+                    for _ in range(15):
+                        table.append(table[-1] @ self._base)
+                    self._digits.append(np.array(table))
+                    self._base = table[-1] @ self._base
+                out = _col_times(self._digits[i][(k >> 4 * i) & 15].transpose(1, 2, 0), out)
+        return out[:, 0] if x.ndim == 1 and t.ndim == 0 else np.ascontiguousarray(out.T)
 
 
-def _row_times(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x @ a for rows x, with a one matrix or one per row, summed term by term
-    in a fixed order, so that a row's result does not depend on the shape of
-    the batch it is computed in (BLAS rounds a vector product and a matrix
-    product differently)."""
-    return (x[..., :, None] * a).sum(axis=-2)
+def _col_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows y.T @ a as columns: y is (d, N), a is (d, m, 1), or (d, m, N)
+    for one matrix per column; returns (m, N).  The d terms are summed in
+    order for every column and batch shape (BLAS rounds a vector product and
+    a matrix product differently)."""
+    return (a * y[:, None]).sum(axis=0)
 
 
 def _normalize_rows(W: np.ndarray, t) -> np.ndarray:
-    """Rows of W, unnormalized points x_A e^{t Lambda_A}, clipped at 0 and
-    normalized: the points of the flow.  Raises FaceMassVanished where a
-    row's mass is not positive; t, the time or times of W, goes into its
-    message."""
+    """The one normalization of the flow: the points phi(t, nu) from rows
+    W = nu_A e^{t Lambda_A} ((d,) or (N, d), at the time or times t), W
+    clipped at 0 over its mass, row by row and so batch-invariant.  At t = 0
+    the row is nu itself (_SubExp.rows gives W = nu), so phi(0, nu) = nu.
+    Raises FaceMassVanished where a row's mass is not positive."""
+    t = np.asarray(t)
     mass = W.sum(axis=-1, keepdims=True)
-    if (mass <= 0).any():
+    if np.count_nonzero(mass <= 0):
         raise FaceMassVanished(f"flow mass {mass.min()} at t={t}")
-    X = np.clip(W, 0.0, None) / mass
+    X = np.maximum(W, 0.0) / mass  # np.clip(W, 0.0, None) bit for bit, and cheaper
     X /= X.sum(axis=-1, keepdims=True)
-    return X
+    return X if np.count_nonzero(t) == t.size else np.where((t == 0.0)[..., None], W, X)
 
 
 class JumpRecord:
@@ -240,7 +250,7 @@ class FilterModel:
         vals = mu[face]
         if (vals < -NEG_FACE_TOL).any():
             raise NegativeFaceMass(f"negative mass on face {a!r}")
-        vals = np.clip(vals, 0.0, None)
+        vals = np.maximum(vals, 0.0)  # np.clip(vals, 0.0, None) bit for bit, and cheaper
         mass = vals.sum()
         if mass < FALLBACK_TOL:
             return FacePoint(self, a, np.full(len(face), 1.0 / len(face)), degenerate=True)
@@ -275,7 +285,7 @@ class FilterModel:
         return out - row[face].sum() * y.weights
 
     def flow(self, t: float, x: FacePoint) -> FacePoint:
-        """Closed-form flow: normalization of x_A e^{t Lambda_A} on the face."""
+        """Closed-form flow phi(t, x): _normalize_rows of x_A e^{t Lambda_A}."""
         if t < 0:
             raise ValueError("t must be nonnegative")
         return FacePoint(self, x.label, _normalize_rows(self._sub[x.label].rows(x.x, t), t))
@@ -403,12 +413,13 @@ class FilterTrajectory:
         return [j.time for j in self.jumps]
 
     def value_at(self, t: float) -> FacePoint:
+        """model.flow(t - t0, nu) from the start (t0, nu) of the segment that
+        holds t: nu itself at t0, the post-jump point at a jump time.  The
+        policy scan takes its offsets so, and scores this very point."""
         if t < 0 or t > self.horizon:
             raise ValueError("time outside [0, horizon]")
         k = bisect_right(self._starts, t) - 1
         t0, fp = self.segments[k]
-        if t == t0:
-            return fp
         return self.model.flow(t - t0, fp)
 
     def left_limit_at(self, t: float) -> FacePoint:

@@ -222,7 +222,7 @@ class BeliefPdp:
         times = self.sojourn_times(nu, us[:, 0], horizon)
         labels = np.full(len(us), None, dtype=object)
         jumped = np.flatnonzero(times < math.inf)
-        # pre-jump points as model.flow gives them, then their fluxes
+        # pre-jump points, bit for bit as model.flow gives them, then their fluxes
         pre = _normalize_rows(model._sub[nu.label].rows(nu.x, times[jumped]), times[jumped])
         _, lam, flux = model._flux(nu.label, pre)
         others = model._others[nu.label]

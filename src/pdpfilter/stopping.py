@@ -29,11 +29,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain import Distribution, RandomSource, observe, sample_chain
-from .filtering import DEG_TOL, FaceMassVanished, FacePoint, FilterModel, FilterTrajectory
+from .filtering import (DEG_TOL, FaceMassVanished, FacePoint, FilterModel, FilterTrajectory,
+                        _normalize_rows)
 
-DEFAULT_DT = 0.05
+DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
 DEFAULT_TAIL_TOL = 1e-7
-DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)
+DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)  # continue-to-t branches of the Bellman operator
 REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entry
 
 
@@ -92,9 +93,6 @@ class FaceGrid:
 
     def n_points(self, a) -> int:
         return len(self.points[a])
-
-    def face_point(self, a, row: int) -> FacePoint:
-        return FacePoint(self.model, a, self.points[a][row])
 
     def interpolation_weights(self, a, W):
         """Simplicial (Freudenthal/Kuhn) interpolation on the face lattice.
@@ -186,7 +184,8 @@ class BellmanOperator:
     Branches minimized over: stop at each mesh time t_k (continuation
     integral plus discounted survival-weighted obstacle), continue to T_max
     keeping the value itself, and continue to each check time keeping the
-    value itself.  The check-time branches are not redundant on the grid:
+    value itself (DEFAULT_CHECK_TIMES on the mesh, clamped to T_max).  The
+    check-time branches are not redundant on the grid:
     with v interpolated at the flowed points they lower the fixed point, by
     up to 6.9e-4 on perfbench/models/hexa6.json (not at all where the flows
     are frozen, as on cyclic4), and the continuation inequalities at those
@@ -195,21 +194,21 @@ class BellmanOperator:
     plus midpoints).
     """
 
-    def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem,
-                 dt: float = DEFAULT_DT, check_times=DEFAULT_CHECK_TIMES):
+    def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
         self.model = model
         self.grid = grid
         self.prob = prob
         alpha = prob.alpha
+        dt = DEFAULT_DT
         t_max = math.ceil((-math.log(DEFAULT_TAIL_TOL) / alpha) / dt) * dt
         K = max(1, int(round(t_max / dt)))
         self.dt = dt
         self.K = K
         self.t_max = K * dt
         self.times = np.arange(K + 1) * dt
-        self.check_ks = sorted(
-            {k for k in (int(round(c / dt)) for c in check_times) if 0 < k < K}
-        )
+        # mesh steps of the check times (clamped to K), and of every continuation branch
+        self.check_ks = sorted({min(int(round(c / dt)), K) for c in DEFAULT_CHECK_TIMES})
+        self._branch_ks = sorted(set(self.check_ks) | {K})
         self.disc = np.exp(-alpha * self.times)
         self.discm = np.exp(-alpha * (self.times[:K] + dt / 2))
         self._pre = {}
@@ -246,7 +245,7 @@ class BellmanOperator:
                 jn = self._target_gather(b, W @ block, db)
                 jm = self._target_gather(b, Wm @ block, db)
                 entry["jump"].append((b, jn, jm))
-            for k in list(self.check_ks) + [K]:
+            for k in self._branch_ks:
                 mass = entry["mass"][k]
                 Wn = W[k] / np.where(mass > 0, mass, 1.0)[:, None]
                 idx, wgt = grid.interpolation_weights(a, Wn)
@@ -297,17 +296,16 @@ class BellmanOperator:
             I = self._cumulative(values, a)
             g_stop = I + self.disc[:, None] * self._pre[a]["stop"]
             best = g_stop.min(axis=0)
-            for k in list(self.check_ks) + [self.K]:
+            for k in self._branch_ks:
                 np.minimum(best, self._continuation(I, values, a, k), out=best)
             out[a] = best
         return out
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
-                tol: float = 1e-6, dt: float = DEFAULT_DT,
-                max_iter: int = 10000, check_times=DEFAULT_CHECK_TIMES) -> ValueFunction:
+                tol: float = 1e-6, max_iter: int = 10000) -> ValueFunction:
     """Value iteration from the obstacle psi until the sup-norm change < tol."""
-    op = BellmanOperator(model, grid, prob, dt=dt, check_times=check_times)
+    op = BellmanOperator(model, grid, prob)
     values = psi_values(grid, prob)
     iterations = 0
     delta = math.inf
@@ -471,33 +469,37 @@ class StoppingPolicy:
     def should_stop(self, fp: FacePoint) -> bool:
         return bool(self._margins(fp.label, fp.x[None, :])[0] <= 0.0)
 
-    def _margins(self, label, W: np.ndarray) -> np.ndarray:
-        """Margins nu g - v(nu) - eps at the normalized rows of W, unnormalized
-        points x_A e^{t Lambda_A} of face `label`; NaN where a row's mass is 0."""
-        face = self.model.faces[label]
-        W = np.clip(W, 0.0, None)
-        mass = W.sum(axis=1)
-        ok = mass > 0
+    def _margins(self, label, X: np.ndarray) -> np.ndarray:
+        """Margins nu g - v(nu) - eps at the points X, rows of face `label`
+        as the flow gives them; nu g is summed term by term, so that a row's
+        margin does not depend on its batch."""
+        g = self.prob.g[self.model.faces[label]]
+        return (X * g).sum(axis=1) - self.value.batch(label, X) - self.eps
+
+    def _flow_margins(self, label, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Margins at phi(ts, x) on face `label`, NaN where the flow has no mass."""
+        W = self.model._sub[label].rows(x, ts)
+        ok = W.sum(axis=1) > 0
         out = np.full(len(W), np.nan)
-        if ok.any():
-            W = W[ok] / mass[ok, None]
-            out[ok] = W @ self.prob.g[face] - self.value.batch(label, W) - self.eps
+        out[ok] = self._margins(label, _normalize_rows(W[ok], ts[ok]))
         return out
 
     def first_entry(self, traj: FilterTrajectory, time_tol: float = 1e-8,
                     scan_step: float = 0.02) -> float:
         """First entry time into the contact set along the trajectory, or inf.
 
-        Each segment is scanned at its start and, unless its flow is frozen
-        (a scalar sub-generator), at ceil(length / scan_step) evenly spaced
-        times after it, the last one at the next jump; the margins of all
-        scan points on one label come from one propagation and one value
-        interpolation.  The first scan point with margin <= 0 ends the scan.
-        A segment start is returned as it is.  Otherwise the scan cell that
-        ends there is cut into REFINE_POINTS equal parts, the first part
-        whose right end has margin <= 0 is cut again, and so on until the
-        part is no wider than time_tol; its right end is returned.  So the
-        result has margin <= 0 and lies within time_tol of a time with
+        Each segment [t0, t1] is scanned at its start and, unless its flow is
+        frozen (a scalar sub-generator), at ceil((t1 - t0) / scan_step)
+        evenly spaced times after it, the last one at t1; all scan points on
+        one label take one propagation and one value interpolation.  Every
+        scan and section time t is evaluated at the offset t - t0, as
+        value_at evaluates it, so should_stop(traj.value_at(tau)) scores the
+        point whose margin ended the search.  The first scan point with
+        margin <= 0 ends the scan.  Unless it is a segment start, the scan
+        cell that ends there is cut into REFINE_POINTS equal parts, the first
+        part whose right end has margin <= 0 is cut again, and so on until
+        the part is no wider than time_tol; its right end is returned.  So
+        the result has margin <= 0 and lies within time_tol of a time with
         margin > 0: it is a first entry up to time_tol, and an entry and exit
         that both fall between two points of a section are missed.  Raises
         FaceMassVanished where x_A e^{t Lambda_A} underflows at a scan point
@@ -508,50 +510,43 @@ class StoppingPolicy:
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
         n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
-        # np.linspace(0, length, n_scan + 1) of every segment, flattened
+        # np.linspace(t0, t1, n_scan + 1) of every segment, flattened
         seg, j = _ragged(n_scan + 1)
-        offsets = j * (length / np.maximum(n_scan, 1))[seg]
+        times = t0[seg] + j * (length / np.maximum(n_scan, 1))[seg]
         last = (j == n_scan[seg]) & (j > 0)
-        offsets[last] = length[seg[last]]
+        times[last] = t1[seg[last]]
         margins = np.empty(len(seg))
         for i, a in enumerate(model.obs.labels):
             on = ids[seg] == i
-            if not on.any():
-                continue
-            X, ts = starts[a][local[seg[on]]], offsets[on]
-            # segment starts as they are: the eigen path does not return x at t = 0
-            W = np.where((ts == 0.0)[:, None], X, model._sub[a].rows(X, ts))
-            margins[on] = self._margins(a, W)
+            if on.any():
+                margins[on] = self._flow_margins(a, starts[a][local[seg[on]]],
+                                                 times[on] - t0[seg[on]])
         hit = np.flatnonzero(margins <= 0.0)
         lost = np.flatnonzero(np.isnan(margins))
         first = hit[0] if hit.size else len(margins)
         if lost.size and lost[0] < first:
-            k = seg[lost[0]]
-            raise FaceMassVanished(f"flow mass 0 on face {model.obs.labels[ids[k]]!r} "
-                                   f"at t={t0[k] + offsets[lost[0]]}")
+            raise FaceMassVanished(f"flow mass 0 on face {model.obs.labels[ids[seg[lost[0]]]]!r} "
+                                   f"at t={times[lost[0]]}")
         if not hit.size:
             return math.inf
         k = seg[first]
-        if j[first] == 0:
-            return float(t0[k])
         a = model.obs.labels[ids[k]]
         x = starts[a][local[k]]
-        lo, hi = offsets[first - 1], offsets[first]
-        sub = model._sub[a]
+        lo, hi = times[first - 1 if j[first] else first], times[first]
         width = math.inf
         while time_tol < hi - lo < width:  # stops too where rounding halts progress
             width = hi - lo
             ts = np.linspace(lo, hi, REFINE_POINTS + 1)[1:-1]
-            section = self._margins(a, sub.rows(x, ts))
+            section = self._flow_margins(a, x, ts - t0[k])
             if np.isnan(section).any():
-                raise FaceMassVanished(f"flow mass 0 on face {a!r} after t={t0[k] + lo}")
+                raise FaceMassVanished(f"flow mass 0 on face {a!r} after t={lo}")
             inside = np.flatnonzero(section <= 0.0)
             if inside.size:
                 i = inside[0]
                 lo, hi = (ts[i - 1] if i else lo), ts[i]
             else:
                 lo = ts[-1]
-        return float(t0[k] + hi)
+        return float(hi)
 
 
 def stopping_rule(v: ValueFunction, eps: float = None) -> StoppingPolicy:
@@ -586,34 +581,27 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     return mean, stderr
 
 
-def verify_variational(v: ValueFunction, prob: StoppingProblem,
-                       t_checks=DEFAULT_CHECK_TIMES, tol: float = 5e-6) -> dict:
-    """Check u <= psi and u <= continue-to-t-then-u on the grid.
+def verify_variational(v: ValueFunction, prob: StoppingProblem, tol: float = 5e-6) -> dict:
+    """Check u <= psi and u <= continue-to-t-then-u on the grid, at the
+    operator's check times (DEFAULT_CHECK_TIMES clamped to T_max).
 
     The continuation expectation uses the same single-jump quadrature as the
     Bellman operator; the one-jump truncation bound (value beyond T_max) is
-    reported.  Maximality of v among solutions is NOT checked.  At v's own
-    check times both inequalities are branches of the operator v solves, so
-    they hold up to its residual: the check confirms the fixed point, not the
-    discretization.  At other times a new operator is built.
+    reported.  Maximality of v among solutions is NOT checked.  The
+    operator is the one v was solved with, or, for a hand-made v, one built
+    for prob.  The check times are branches of that operator, so for a
+    solved v both inequalities hold up to its residual: the check confirms
+    the fixed point, not the discretization.
     """
-    op = getattr(v, "_operator", None)
     model = v.grid.model
-    needed = sorted({int(round(c / (op.dt if op else DEFAULT_DT))) for c in t_checks})
-    if op is None or any(
-        k not in op._pre[model.obs.labels[0]]["self_gather"] and 0 < k < op.K
-        for k in needed
-    ):
-        op = BellmanOperator(model, v.grid, prob, check_times=t_checks)
+    op = getattr(v, "_operator", None) or BellmanOperator(model, v.grid, prob)
     psi = psi_values(v.grid, prob)
     obstacle_violation = max(float((v.values[a] - psi[a]).max()) for a in psi)
     cont_violation = -math.inf
-    ks = [k for k in (min(max(k, 1), op.K) for k in needed)
-          if k in op._pre[model.obs.labels[0]]["self_gather"]]
-    checked = [op.times[k] for k in ks]
+    checked = [op.times[k] for k in op.check_ks]
     for a in model.obs.labels:
         I = op._cumulative(v.values, a)
-        for k in ks:
+        for k in op.check_ks:
             cont = op._continuation(I, v.values, a, k)
             cont_violation = max(cont_violation, float((v.values[a] - cont).max()))
     g_max = float(np.abs(prob.g).max())

@@ -11,6 +11,16 @@ CYCLIC4_GENERATOR = [
 ]
 CYCLIC4_LABELS = ("1", "0", "1", "0")
 
+# perfbench/models/hexa6.json: labels a a a a b b
+HEXA6_GENERATOR = [
+    [-3, 1, 1, 0, 1, 0],
+    [0, -2, 1, 1, 0, 0],
+    [1, 0, -3, 1, 0, 1],
+    [1, 1, 0, -3, 0, 1],
+    [1, 0, 1, 0, -3, 1],
+    [1, 1, 0, 1, 0, -3],
+]
+
 
 @pytest.fixture(scope="session")
 def cyclic4():

@@ -10,11 +10,19 @@ from pdpfilter import (
     PiecewisePath,
     observe,
     sample_chain,
+    sub_generator,
     transition_semigroup,
     validate_generator,
 )
 from pdpfilter.filtering import _SubExp
-from conftest import random_face_point, random_observation, random_rate_matrix, three_state_model
+from conftest import (
+    HEXA6_GENERATOR,
+    pdp5_model,
+    random_face_point,
+    random_observation,
+    random_rate_matrix,
+    three_state_model,
+)
 
 
 class TestRestrictNormalize:
@@ -76,6 +84,21 @@ class TestVectorField:
             assert np.abs(fd - model.vector_field(fp)).max() < 1e-4
 
 
+def _random_face(seed, d):
+    """A d-state sub-generator: a block of a random (d + 2)-state generator."""
+    return random_rate_matrix(np.random.default_rng(seed), d + 2).entries[:d, :d]
+
+
+# pdp5's three faces and hexa6's two (a 4-state face with complex eigenvalues
+# and an Erlang pair without an eigenbasis), and random faces of 1 to 4 states
+BATCH_FACES = {
+    **{f"pdp5-{a}": sub.matrix for a, sub in pdp5_model()._sub.items()},
+    "hexa6-a": sub_generator(validate_generator(HEXA6_GENERATOR), [0, 1, 2, 3]),
+    "hexa6-b": sub_generator(validate_generator(HEXA6_GENERATOR), [4, 5]),
+    **{f"random{d}-{seed}": _random_face(seed, d) for d in (1, 2, 3, 4) for seed in (0, 1)},
+}
+
+
 class TestFlow:
     def test_t_zero_identity(self):
         model = three_state_model()
@@ -119,19 +142,29 @@ class TestFlow:
             expected = u / u.sum()
             assert np.abs(model.flow(t, fp).weights[:2] - expected).max() < 1e-12
 
-    def test_defective_face_batch_matches_one_time_at_a_time(self):
-        # face a's sub-generator [[-3, 1], [0, -3]] has no eigenbasis, so
-        # both take the Taylor-and-cached-powers path
-        rate = validate_generator([[-3, 1, 2], [0, -3, 3], [1, 1, -2]])
-        model = FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
-        sub = model._sub["a"]
-        assert not sub.ok
-        x = np.array([0.4, 0.6])
-        for n in (0, 1, 17):
-            ts = np.linspace(0.0, 3.0, n)
-            out = sub.rows(x, ts)
-            assert out.shape == (n, 2)
-            assert all(np.array_equal(out[k], sub.rows(x, t)) for k, t in enumerate(ts))
+    @pytest.mark.parametrize("name", sorted(BATCH_FACES))
+    def test_rows_is_batch_invariant(self, name):
+        # each row of a batch has the bits of its own one-row call, t = 0
+        # gives the row itself, and every row matches scipy's expm; times up
+        # to 40 reach the Taylor path's third digit level
+        matrix = BATCH_FACES[name]
+        sub = _SubExp(matrix)
+        d = len(matrix)
+        gen = np.random.default_rng(11)
+        X = gen.dirichlet(np.ones(d), size=400)
+        ts = np.concatenate([[0.0], gen.uniform(0.0, 5.0, 299), gen.uniform(5.0, 40.0, 100)])
+        gen.shuffle(ts)
+        from scipy.linalg import expm
+
+        expected = np.array([x @ expm(t * matrix) for x, t in zip(X, ts)])
+        np.testing.assert_allclose(sub.rows(X, ts), expected, rtol=1e-9, atol=1e-14)
+        for x, t, batch in [(X, ts, sub.rows(X, ts)), (X[0], ts, sub.rows(X[0], ts)),
+                            (X, np.full(400, ts[1]), sub.rows(X, ts[1]))]:
+            assert batch.shape == (400, d)
+            rows = x if x.ndim == 2 else [x] * 400
+            assert all(np.array_equal(batch[i], sub.rows(r, t[i])) for i, r in enumerate(rows))
+        assert all(np.array_equal(sub.rows(x, 0.0), x) for x in X)
+        assert sub.rows(X[0], ts[:0]).shape == (0, d) and sub.rows(X[0], ts[:1]).shape == (1, d)
 
 
 # faces without an eigenbasis: hexa6's Erlang pair, a 3x3 Jordan block, and a

@@ -29,6 +29,7 @@ from pdpfilter import (
     verify_variational,
 )
 from pdpfilter.stopping import BellmanOperator, ValueFunction, psi_values
+from conftest import HEXA6_GENERATOR
 
 
 PROB4 = StoppingProblem(g=[0.0, 2.0, 5.0, 3.0], l=[1.0, 0.5, 2.0, 0.2], alpha=0.5)
@@ -75,12 +76,6 @@ class TestFaceGrid:
             pts = grid.points[a]
             assert (pts >= 0).all()
             assert np.abs(pts.sum(axis=1) - 1.0).max() < 1e-15
-
-    def test_face_point_is_a_grid_row(self, cyclic4):
-        grid = FaceGrid(cyclic4, 4)
-        fp = grid.face_point("0", 1)
-        assert fp.label == "0" and np.array_equal(fp.x, grid.points["0"][1])
-        assert np.array_equal(fp.weights, [0.0, 0.25, 0.0, 0.75])
 
     def test_interpolation_exact_on_grid(self, cyclic4):
         grid = FaceGrid(cyclic4, 10)
@@ -310,6 +305,17 @@ class TestVerifyVariational:
         report = verify_variational(solved4, PROB4)
         assert report["one_jump_truncation_bound"] < 1e-6
 
+    def test_check_times_past_the_horizon_clamp_to_it(self, cyclic4):
+        # alpha = 6: T_max = 2.7, so the check times 3 and 5 are checked at T_max
+        prob = StoppingProblem(g=PROB4.g, l=PROB4.l, alpha=6.0)
+        vf = solve_value(cyclic4, prob, FaceGrid(cyclic4, 8), tol=1e-8)
+        op = vf._operator
+        assert op.check_ks == [40, op.K]
+        for v in (vf, ValueFunction(vf.grid, vf.values, prob)):
+            report = verify_variational(v, prob)
+            assert report["pass"], report
+            assert report["checked_times"] == [2.0, op.t_max]
+
 
 class TestClassicalOracle:
     def test_pure_running_cost(self):
@@ -398,15 +404,6 @@ def reference_cost(traj, tau, prob):
     return total + g_term
 
 
-HEXA6_GENERATOR = [
-    [-3, 1, 1, 0, 1, 0],
-    [0, -2, 1, 1, 0, 0],
-    [1, 0, -3, 1, 0, 1],
-    [1, 1, 0, -3, 0, 1],
-    [1, 0, 1, 0, -3, 1],
-    [1, 1, 0, 1, 0, -3],
-]
-
 # (generator, labels) of fixed models: a defective Erlang pair next to a
 # one-state (scalar) face; a 4-state face next to the defective pair; and two
 # 2-state faces with scalar sub-generators
@@ -486,6 +483,27 @@ def test_first_entry_matches_segment_scan_and_bisection(problem):
         # both lie in the first scan cell that ends in the contact set; the
         # sections found an entry there that bisection stepped over
         assert tau < ref <= tau + scan_step, (tau, ref)
+
+
+def test_first_entry_is_a_stopping_point_on_a_flat_crossing():
+    # a drawn example of the test above: on face 0 = {0, 1} the filter
+    # (2e^{-4t} + 1)^{-1} (e^{-4t}, 1) has a margin, affine on the face, that
+    # crosses 0 near t = 3.856 with a slope of about 4e-7 per unit time, so
+    # the sign at the entry is a rounding tie.  The scan decides it on the
+    # point that value_at builds.
+    rate = validate_generator([[-4, 0, 0, 1, 3]] + [[0] * 5] * 4)
+    model = FilterModel(rate, ObservationModel.from_assignment(("0", "0", "1", "1", "1")))
+    traj = model.run_filter(PiecewisePath("0", (), 10.0), Distribution(np.full(5, 0.2)))
+    prob = StoppingProblem(g=[1.0, 0.0, 0.0, 0.0, 0.0], l=np.zeros(5), alpha=1.0)
+    values = {
+        "0": np.array([-8.999999999971244e-07, 0.16666576666666666, 0.3333324333333333,
+                       0.4999991]),
+        "1": np.full(10, -1.000001),
+    }
+    policy = StoppingPolicy(ValueFunction(FaceGrid(model, 3), values, prob), 1e-6)
+    tau = policy.first_entry(traj)
+    assert abs(tau - 3.856237) < 1e-6, tau
+    assert policy.should_stop(traj.value_at(tau))
 
 
 def test_first_entry_takes_the_earlier_of_two_entries_in_one_scan_cell():
