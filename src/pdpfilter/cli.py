@@ -2,9 +2,11 @@
 
 Subcommands: validate | simulate | filter | exit-time | pdp-check | stop |
 stability | replay.  Every run writes a manifest.json with the resolved
-config, seed and toolkit version; `replay <manifest>` re-executes a recorded
-run, and reruns produce byte-identical numeric outputs.  The output directory
-comes from --out, overridden by the PDPFILTER_OUT environment variable.
+config, seed, toolkit version and the sha256 of the model file; `replay
+<manifest>` re-executes a recorded run, and reruns produce byte-identical
+numeric outputs.  Replay refuses (exit code 1) a model file whose hash has
+changed since the recorded run.  The output directory comes from --out,
+overridden by the PDPFILTER_OUT environment variable.
 
 Exit codes: 0 ok, 1 validation failure, 2 numerical non-convergence.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 ok, 1 validation failure, 2 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -47,10 +50,20 @@ def _out_dir(args) -> str:
     return out
 
 
+def _file_sha256(path: str):
+    """Hex sha256 of the file's bytes, or None if it cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
 def _write_manifest(out, command, config):
     payload = {
         "command": command,
         "config": config,
+        "model_sha256": _file_sha256(config["model"]),
         "version": __version__,
     }
     write_json(os.path.join(out, "manifest.json"), payload)
@@ -251,11 +264,20 @@ def cmd_replay(args) -> int:
 
 
 def run_from_manifest(manifest_path: str, out: str = None) -> int:
-    """Re-execute a recorded run; numeric outputs are byte-identical."""
+    """Re-execute a recorded run; numeric outputs are byte-identical.
+
+    Returns EXIT_INVALID, without running, when the manifest records a model
+    hash and the model file no longer has it.
+    """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     command = manifest["command"]
     cfg = manifest["config"]
+    expected = manifest.get("model_sha256")
+    if expected is not None and _file_sha256(cfg["model"]) != expected:
+        print(f"model file {cfg['model']} changed or unreadable since the recorded run "
+              f"(sha256 {expected} expected)", file=sys.stderr)
+        return EXIT_INVALID
     argv = [command, "--model", cfg["model"], "--out", out or cfg["out"]]
     for key in ("seed", "horizon", "sims", "grid", "tol"):
         if cfg.get(key) is not None:

@@ -8,13 +8,15 @@ jumps it follows the flow
 
 whose closed form is the normalization of x_A e^{t Lambda_A} (the
 unnormalized filter solves u' = u Lambda_A on the face).  At an observation
-jump to label b the filter restarts at the restriction/normalization of
-(pre-jump) Lambda to h^{-1}(b).
+jump to label b the filter restarts at H_b[Pi_{T-} Lambda], the restriction
+of (pre-jump) Lambda to h^{-1}(b), normalized.
 
 A FacePoint is a label plus its weights x on the level set of that label;
-the n-vector `weights`, zero off the face, is derived from x.  The jump
-denominator and the post-jump vector come from FilterModel._flux, the same
-face-local flux routine that gives the PDP jump rate and jump law.
+the n-vector `weights`, zero off the face, is derived from x.  The jump law
+has one implementation, shared by the filter, the PDP (pdp.py) and the
+Bellman operator (stopping.py): one restriction H_b (_restrict), one kernel
+q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu) (FilterModel._jump_law, from
+the face-local fluxes of FilterModel._flux) and one atom pick (_pick).
 """
 
 from __future__ import annotations
@@ -194,6 +196,26 @@ def _normalize_rows(W: np.ndarray, t) -> np.ndarray:
     return X if np.count_nonzero(t) == t.size else np.where((t == 0.0)[..., None], W, X)
 
 
+def _restrict(vals: np.ndarray):
+    """The one restriction H_b on face rows vals (..., d) of face b: the rows
+    clipped at 0 over their mass, and the uniform law where the mass is below
+    FALLBACK_TOL.  Returns (rows, mass); row by row, so batch-invariant."""
+    vals = np.maximum(vals, 0.0)  # np.clip(vals, 0.0, None) bit for bit, and cheaper
+    mass = vals.sum(axis=-1)
+    low = mass < FALLBACK_TOL
+    rows = vals / np.where(low, 1.0, mass)[..., None]
+    rows[low] = 1.0 / vals.shape[-1]
+    return rows, mass
+
+
+def _pick(q: np.ndarray, u):
+    """The one atom pick: for masses q (..., k) and uniforms u (...), each
+    row's np.searchsorted(np.cumsum(q), u, "right") capped at its last
+    positive atom (a zero mass repeats the sum before it, so it is skipped)."""
+    k = (np.cumsum(q, axis=-1) <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(k, q.shape[-1] - 1 - np.argmax(q[..., ::-1] > 0, axis=-1))
+
+
 class JumpRecord:
     __slots__ = ("time", "pre", "post")
 
@@ -214,11 +236,6 @@ class FilterModel:
         self._sub = {a: _SubExp(sub_generator(rate, self.faces[a])) for a in obs.labels}
         self._others = {a: [b for b in obs.labels if b != a] for a in obs.labels}
         self._out_rows = {a: rate.entries[self.faces[a]] for a in obs.labels}
-        # off-face blocks Lambda[A, B] used by jump laws
-        self._blocks = {
-            a: {b: rate.entries[np.ix_(self.faces[a], self.faces[b])] for b in obs.labels if b != a}
-            for a in obs.labels
-        }
 
     # -- construction / restriction ------------------------------------
 
@@ -250,11 +267,8 @@ class FilterModel:
         vals = mu[face]
         if (vals < -NEG_FACE_TOL).any():
             raise NegativeFaceMass(f"negative mass on face {a!r}")
-        vals = np.maximum(vals, 0.0)  # np.clip(vals, 0.0, None) bit for bit, and cheaper
-        mass = vals.sum()
-        if mass < FALLBACK_TOL:
-            return FacePoint(self, a, np.full(len(face), 1.0 / len(face)), degenerate=True)
-        return FacePoint(self, a, vals / mass)
+        x, mass = _restrict(vals)
+        return FacePoint(self, a, x, degenerate=bool(mass < FALLBACK_TOL))
 
     def _flux(self, a, X):
         """Fluxes X Lambda 1_{h^{-1}(b)} of face rows X of label a.
@@ -268,11 +282,23 @@ class FilterModel:
         vec = X @ self._out_rows[a]
         others = self._others[a]
         # filled in place: np.stack of the sums costs more than the sums on
-        # the one-row calls of run_filter
+        # one-row calls
         flux = np.empty(vec.shape[:-1] + (len(others),))
         for i, b in enumerate(others):
             flux[..., i] = vec[..., self.faces[b]].sum(axis=-1)
         return vec, flux.sum(axis=-1), flux
+
+    def _jump_law(self, a, X):
+        """The one kernel q(nu, .) at face rows X of label a: X Lambda[A, :],
+        the rate lambda and q in the order of _others[a], flux / lambda where
+        the flux is positive, 0 elsewhere, and uniform where lambda < DEG_TOL
+        (for unnormalized rows too: q is scale-free above that threshold).
+        The atom of label b is _restrict of X Lambda[A, h^{-1}(b)]."""
+        vec, lam, flux = self._flux(a, X)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(flux > 0, flux / lam[..., None], 0.0)
+        q[lam < DEG_TOL] = 1.0 / len(self._others[a])
+        return vec, lam, q
 
     # -- flow ------------------------------------------------------------
 
@@ -313,8 +339,8 @@ class FilterModel:
 
         Pi_0 = H_{Y_0}[mu]; flows between observation jumps; at a jump to
         label b restarts at H_b[Pi_{T-} Lambda].  Raises DegenerateJump when
-        the jump denominator, the flux into b, is <= DEG_TOL (path
-        inconsistent with the model).
+        the jump denominator, the mass of Pi_{T-} Lambda on h^{-1}(b), is
+        <= DEG_TOL (path inconsistent with the model).
         """
         current = self.restrict_normalize(mu, obs_path.initial_value)
         segments = [(0.0, current)]
@@ -322,11 +348,10 @@ class FilterModel:
         t_prev = 0.0
         for tj, b in obs_path.jumps:
             pre = self.flow(tj - t_prev, current)
-            vec, _, flux = self._flux(pre.label, pre.x)
-            den = flux[self._others[pre.label].index(b)]
+            x, den = _restrict((pre.x @ self._out_rows[pre.label])[self.faces[b]])
             if den <= DEG_TOL:
                 raise DegenerateJump(tj, float(den))
-            post = self.restrict_normalize(vec, b)
+            post = FacePoint(self, b, x)
             jumps.append(JumpRecord(tj, pre, post))
             segments.append((tj, post))
             current = post
@@ -407,6 +432,24 @@ class FilterTrajectory:
         self.jumps = list(jumps)
         self.horizon = float(horizon)
         self._starts = [t for t, _ in self.segments]
+        self._table = None
+
+    def _segment_table(self):
+        """Start times, end times and label indices of the segments; per
+        label the face rows of its segment starts, and each segment's row
+        among them.  Built on first use and kept."""
+        if self._table is None:
+            labels = self.model.obs.labels
+            t0, starts = np.array(self._starts), {}
+            ids = np.array([labels.index(fp.label) for _, fp in self.segments])
+            local = np.empty(len(ids), dtype=np.int64)
+            for i, a in enumerate(labels):
+                mine = np.flatnonzero(ids == i)
+                local[mine] = np.arange(len(mine))
+                starts[a] = np.array([self.segments[k][1].x for k in mine]).reshape(
+                    -1, len(self.model.faces[a]))
+            self._table = t0, np.append(t0[1:], self.horizon), ids, starts, local
+        return self._table
 
     @property
     def jump_times(self):

@@ -7,9 +7,9 @@ Characteristics on a face with label a and level set A:
     jump law    Q(nu, .)    = atoms H_b[nu Lambda] with mass
                               q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu)
 
-All three come from the flux nu Lambda 1_{h^{-1}(b)} of face rows into every
-label b, which FilterModel._flux computes for a batch of rows at once; the
-filter's own jumps use it too.
+The jump law is the filter's own (filtering.py): one restriction H_b, one
+kernel q (FilterModel._jump_law) and one atom pick (_pick), for one row or a
+batch, so simulate_pdp, first_jumps and pdp_check_statistics read its bits.
 
 Sojourn survival has the closed form S(t) = (nu_A e^{t Lambda_A}) . 1, and
 S'(t) = -(nu_A e^{t Lambda_A}) . r_A with r_A = -Lambda_A 1 the exit rates of
@@ -44,6 +44,7 @@ from .filtering import (
     FilterTrajectory,
     JumpRecord,
     _normalize_rows,
+    _pick,
 )
 
 SOJOURN_TOL = 1e-10
@@ -86,21 +87,18 @@ class BeliefPdp:
         return max(0.0, float(self.model._flux(nu.label, nu.x)[1]))
 
     def jump_measure(self, nu: FacePoint) -> JumpLaw:
-        """Atoms H_b[nu Lambda] with mass q(nu, b) for b != a.
+        """Atoms H_b[nu Lambda] with the positive masses q(nu, b), b != a, of
+        the one kernel FilterModel._jump_law.
 
-        When lambda(nu) < DEG_TOL the uniform fallback over the other labels
-        is returned, flagged degenerate (never sampled since the rate is 0).
+        When lambda(nu) < DEG_TOL that kernel is the uniform law over the
+        other labels, and the law is flagged degenerate (a jump at rate 0 is
+        never sampled).
         """
         model = self.model
-        vec, lam, flux = model._flux(nu.label, nu.x)
-        others = model._others[nu.label]
-        if lam < DEG_TOL:
-            share = 1.0 / len(others)
-            atoms = [(model.restrict_normalize(vec, b), share) for b in others]
-            return JumpLaw(atoms, nu, degenerate=True)
-        atoms = [(model.restrict_normalize(vec, b), float(f / lam))
-                 for b, f in zip(others, flux) if f > 0]
-        return JumpLaw(atoms, nu)
+        vec, lam, q = model._jump_law(nu.label, nu.x)
+        atoms = [(model.restrict_normalize(vec, b), float(m))
+                 for b, m in zip(model._others[nu.label], q) if m > 0]
+        return JumpLaw(atoms, nu, degenerate=bool(lam < DEG_TOL))
 
     def sojourn_survival(self, nu: FacePoint, t: float) -> float:
         """Closed form (nu_A e^{t Lambda_A}) . 1 = exp(-integrated jump rate)."""
@@ -187,6 +185,7 @@ class BeliefPdp:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         gen = rng.generator() if isinstance(rng, RandomSource) else rng
+        model = self.model
         current = nu0
         t = 0.0
         segments = [(0.0, current)]
@@ -196,44 +195,33 @@ class BeliefPdp:
             if s is None:
                 break
             t += s
-            pre = self.model.flow(s, current)
-            law = self.jump_measure(pre)
-            masses = np.array([m for _, m in law.atoms])
-            k = int(np.searchsorted(np.cumsum(masses), gen.random(), side="right"))
-            k = min(k, len(law.atoms) - 1)
-            post = law.atoms[k][0]
+            pre = model.flow(s, current)
+            vec, _, q = model._jump_law(pre.label, pre.x)
+            post = model.restrict_normalize(vec, model._others[pre.label][_pick(q, gen.random())])
             jumps.append(JumpRecord(t, pre, post))
             segments.append((t, post))
             current = post
-        return FilterTrajectory(self.model, segments, jumps, horizon)
+        return FilterTrajectory(model, segments, jumps, horizon)
 
     def first_jumps(self, nu: FacePoint, horizon: float, rngs):
         """First jump of simulate_pdp(nu, horizon, rng) for each rng, and nothing after it.
 
         Each RandomSource gives the first two draws of its generator, the
         ones simulate_pdp spends on its first jump: the sojourn uniform, then
-        the target uniform.  All sojourns are inverted in one
-        batch, and the targets are picked as simulate_pdp picks them from
-        jump_measure at the pre-jump point.  Returns the jump times (inf where
-        censored) and an object array of target labels (None where censored).
+        the target uniform.  The sojourns are inverted in one batch, and the
+        targets are picked with simulate_pdp's _jump_law and _pick at
+        model.flow's pre-jump points, as rows of a batch (X Lambda[A, :] is a
+        BLAS product: a row may round unlike the row alone).  Returns the jump
+        times (inf where censored) and an object array of target labels.
         """
         model = self.model
         us = np.array([rng.generator().random(2) for rng in rngs]).reshape(-1, 2)
         times = self.sojourn_times(nu, us[:, 0], horizon)
         labels = np.full(len(us), None, dtype=object)
         jumped = np.flatnonzero(times < math.inf)
-        # pre-jump points, bit for bit as model.flow gives them, then their fluxes
         pre = _normalize_rows(model._sub[nu.label].rows(nu.x, times[jumped]), times[jumped])
-        _, lam, flux = model._flux(nu.label, pre)
-        others = model._others[nu.label]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(flux > 0, flux / lam[:, None], 0.0)
-        q[lam < DEG_TOL] = 1.0 / len(others)
-        # np.searchsorted(cumsum, u, side="right") of every row, capped at the
-        # last atom of positive mass (zero-flux atoms are not atoms)
-        k = (np.cumsum(q, axis=1) <= us[jumped, 1:2]).sum(axis=1)
-        last = q.shape[1] - 1 - np.argmax(q[:, ::-1] > 0, axis=1)
-        labels[jumped] = np.array(others, dtype=object)[np.minimum(k, last)]
+        q = model._jump_law(nu.label, pre)[2]
+        labels[jumped] = np.array(model._others[nu.label], dtype=object)[_pick(q, us[jumped, 1])]
         return times, labels
 
     def jump_time_density(self, nu: FacePoint, t: float, b) -> float:
@@ -358,12 +346,10 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
         edges = np.quantile(times, [0.0, 0.25, 0.5, 0.75, 1.0])
         edges[-1] += 1e-9
         which = np.digitize(times, edges[1:-1])
-        # q(phi(t, nu0), b) at every observed jump time: ratio of the
-        # jump-time densities, the target fluxes of nu0_A e^{t Lambda_A}
-        wa = model._sub[a0].rows(nu0.x, times)
-        dens = np.clip(model._flux(a0, wa)[2], 0.0, None)
-        total_flux = dens.sum(axis=1, keepdims=True)
-        qvals = dict(zip(others, (dens / np.where(total_flux > 0, total_flux, 1.0)).T))
+        # q(phi(t, nu0), b) at every observed jump time, from the rows
+        # nu0_A e^{t Lambda_A} (the ratio of the jump-time densities)
+        q = model._jump_law(a0, model._sub[a0].rows(nu0.x, times))[2]
+        qvals = dict(zip(others, q.T))
         for b in others:
             hit = (hits == b).astype(float)
             for k in range(4):

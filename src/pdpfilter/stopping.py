@@ -29,8 +29,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .chain import Distribution, RandomSource, observe, sample_chain
-from .filtering import (DEG_TOL, FaceMassVanished, FacePoint, FilterModel, FilterTrajectory,
-                        _normalize_rows)
+from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory,
+                        _normalize_rows, _restrict)
 
 DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
 DEFAULT_TAIL_TOL = 1e-7
@@ -237,33 +237,21 @@ class BellmanOperator:
                 "jump": [],
                 "self_gather": {},
             }
-            for b in labels:
-                if b == a:
-                    continue
-                block = model._blocks[a][b]
-                db = block.shape[1]
-                jn = self._target_gather(b, W @ block, db)
-                jm = self._target_gather(b, Wm @ block, db)
-                entry["jump"].append((b, jn, jm))
+            for b in model._others[a]:
+                block = model._out_rows[a][:, model.faces[b]]
+                entry["jump"].append((b, self._target_gather(b, W @ block),
+                                      self._target_gather(b, Wm @ block)))
             for k in self._branch_ks:
-                mass = entry["mass"][k]
-                Wn = W[k] / np.where(mass > 0, mass, 1.0)[:, None]
-                idx, wgt = grid.interpolation_weights(a, Wn)
-                entry["self_gather"][k] = (idx, wgt)
+                entry["self_gather"][k] = grid.interpolation_weights(a, _restrict(W[k])[0])
             self._pre[a] = entry
 
-    def _target_gather(self, b, T, db):
-        """Flux and interpolation gather arrays for jump targets onto face b."""
-        T = np.clip(T, 0.0, None)
-        shape = T.shape[:2]
-        flux = T.sum(axis=2)
-        denom = np.where(flux > DEG_TOL, flux, 1.0)
-        Tn = T / denom[..., None]
-        Tn[flux <= DEG_TOL] = 1.0 / db
-        idx, wgt = self.grid.interpolation_weights(b, Tn.reshape(-1, db))
-        idx = idx.reshape(shape + (db + 1,))
-        wgt = wgt.reshape(shape + (db + 1,))
-        return flux, idx, wgt
+    def _target_gather(self, b, T):
+        """Fluxes into face b of the rows T = u Lambda[A, h^{-1}(b)] (..., d_b),
+        and the interpolation gather arrays of their atoms H_b[T]: _restrict
+        gives both."""
+        Tn, flux = _restrict(T)
+        idx, wgt = self.grid.interpolation_weights(b, Tn.reshape(-1, T.shape[-1]))
+        return flux, idx.reshape(flux.shape + (-1,)), wgt.reshape(flux.shape + (-1,))
 
     def _cumulative(self, values: dict, a):
         """Cumulative Simpson integral I_k of the discounted running-plus-jump integrand."""
@@ -387,7 +375,7 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
         fp = traj.value_at(t_end)
         g_term = math.exp(-alpha * tau) * float(fp.x @ prob.g[model.faces[fp.label]])
     nodes, weights = _gauss_nodes()
-    t0, t1, ids, starts, local = _segment_table(traj)
+    t0, t1, ids, starts, local = traj._segment_table()
     length = np.minimum(t1, t_end) - t0
     n_chunks = np.where(length > 0, np.maximum(1, np.ceil(length / 2.0)), 0).astype(np.int64)
     # chunk c of a segment spans [c, c + 1] * length / n_chunks
@@ -411,24 +399,6 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
             raise FaceMassVanished(f"flow mass 0 on face {a!r} at t={at[vanished][0]}")
         total += float((wq[on] * np.exp(-alpha * at)) @ ((W @ prob.l[model.faces[a]]) / mass))
     return total + g_term
-
-
-def _segment_table(traj: FilterTrajectory):
-    """Start times, end times and label indices of the trajectory's segments;
-    per label the face rows of its segment starts, and each segment's row
-    among them."""
-    model = traj.model
-    labels = model.obs.labels
-    t0 = np.array([t for t, _ in traj.segments])
-    t1 = np.append(t0[1:], traj.horizon)
-    ids = np.array([labels.index(fp.label) for _, fp in traj.segments])
-    starts = {}
-    local = np.empty(len(ids), dtype=np.int64)
-    for i, a in enumerate(labels):
-        mine = np.flatnonzero(ids == i)
-        local[mine] = np.arange(len(mine))
-        starts[a] = np.array([traj.segments[k][1].x for k in mine]).reshape(-1, len(model.faces[a]))
-    return t0, t1, ids, starts, local
 
 
 def _ragged(counts: np.ndarray):
@@ -506,7 +476,7 @@ class StoppingPolicy:
         before the entry.
         """
         model = self.model
-        t0, t1, ids, starts, local = _segment_table(traj)
+        t0, t1, ids, starts, local = traj._segment_table()
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
         n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)

@@ -199,6 +199,28 @@ class TestReplay:
         assert rc == 0
         assert (first / "chain.csv").read_bytes() == (second / "chain.csv").read_bytes()
 
+    def test_replay_refuses_changed_model(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        raw = json.loads(Path(CYCLIC4).read_text())
+        model.write_text(json.dumps(raw))
+        first = tmp_path / "first"
+        assert main(["simulate", "--model", str(model), "--out", str(first), "--seed", "9"]) == 0
+        manifest = first / "manifest.json"
+        assert len(json.loads(manifest.read_text())["model_sha256"]) == 64
+        raw["generator"][0][1] *= 2.0
+        raw["generator"][0][0] -= raw["generator"][0][1] / 2.0
+        model.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert run_from_manifest(str(manifest), out=str(tmp_path / "second")) == 1
+        assert "changed" in capsys.readouterr().err
+        assert not (tmp_path / "second").exists()
+        # a manifest without the hash (written before it was recorded) still replays
+        payload = json.loads(manifest.read_text())
+        del payload["model_sha256"]
+        manifest.write_text(json.dumps(payload))
+        assert run_from_manifest(str(manifest), out=str(tmp_path / "third")) == 0
+        assert (tmp_path / "third" / "chain.csv").exists()
+
 
 class TestEnvOverride:
     def test_out_dir_env(self, tmp_path, monkeypatch):

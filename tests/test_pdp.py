@@ -20,6 +20,7 @@ from pdpfilter import (
     sample_chain,
     validate_generator,
 )
+from pdpfilter.filtering import _pick, _restrict
 from pdpfilter.pdp import DEG_TOL, pdp_check_statistics
 from conftest import (
     CYCLIC4_GENERATOR,
@@ -494,15 +495,54 @@ def test_fluxes_match_dense_formula(problem):
 def test_face_local_invariants(problem, seed):
     """Filter points stay probability vectors on their faces, `weights` is x
     scattered onto the face, the flow is a semigroup, and every jump law is a
-    law on the other faces."""
+    law on the other faces.  The jump law is one law: jump_measure's masses
+    are _jump_law's, _pick and _restrict give a row in a batch the bits they
+    give it alone, and run_filter jumps to jump_measure's atoms.  The start
+    delta_0 has rate 0 where state 0 has no exit (degenerate law), and the
+    last label may get no flux from face "0" (zero-mass atoms)."""
     model, nu, t = problem
     pdp, horizon = BeliefPdp(model), 4.0
     mu = Distribution(np.full(model.n, 1.0 / model.n))
     traj = model.run_filter(
         observe(sample_chain(model.rate, mu, horizon, RandomSource(seed)), model.obs), mu)
-    points = [fp for _, fp in traj.segments]
+    points = [fp for _, fp in traj.segments] + [nu, model.face_point("0", np.eye(model.n)[0])]
     points += [traj.value_at(s) for s in np.linspace(0.0, horizon, 9)]
-    for fp in points + [nu]:
+    for j in traj.jumps:
+        atoms = {target.label: target for target, _ in pdp.jump_measure(j.pre).atoms}
+        assert np.array_equal(atoms[j.post.label].x, j.post.x)
+    for a in model.obs.labels:
+        mine = [fp for fp in points if fp.label == a]
+        if not mine:
+            continue
+        vec, _, q = model._jump_law(a, np.array([fp.x for fp in mine]))
+        for i, fp in enumerate(mine):
+            law = pdp.jump_measure(fp)
+            _, alone_lam, alone = model._jump_law(a, fp.x)
+            assert [m for _, m in law.atoms] == alone[alone > 0].tolist()
+            assert law.degenerate == (alone_lam < DEG_TOL)
+            # X Lambda[A, :] is a BLAS product: a batch row may differ in its last bits
+            np.testing.assert_allclose(q[i], alone, rtol=1e-12, atol=1e-15)
+        # uniforms 0, just below the last cumulative mass, at it and above it
+        last = np.cumsum(q, axis=1)[:, -1]
+        us = np.stack([np.zeros_like(last), np.nextafter(last, 0.0), last,
+                       np.nextafter(last, 2.0)], axis=1)
+        picks = _pick(np.repeat(q, 4, axis=0), us.ravel()).reshape(us.shape)
+        for i, row in enumerate(q):
+            atoms = np.flatnonzero(row > 0)
+            for u, k in zip(us[i], picks[i]):
+                assert k == _pick(row, u)
+                assert k == atoms[min(np.searchsorted(np.cumsum(row[atoms]), u, "right"),
+                                      len(atoms) - 1)]
+        for b in model._others[a]:
+            face = model.faces[b]
+            V = np.vstack([vec[:, face], np.zeros(len(face)), np.full(len(face), -1e-13),
+                           np.full(len(face), 1e-13 / len(face))])
+            rows, mass = _restrict(V)
+            for i, row in enumerate(V):
+                alone_rows, alone_mass = _restrict(row)
+                assert np.array_equal(rows[i], alone_rows) and mass[i] == alone_mass
+            assert (rows[-3:] == 1.0 / len(face)).all()
+    for fp in points:
         atoms = pdp.jump_measure(fp).atoms
         assert abs(sum(mass for _, mass in atoms) - 1.0) <= 1e-12
         assert all(target.label != fp.label for target, _ in atoms)
