@@ -66,6 +66,9 @@ class ThresholdPolicy:
                 return t0
         return math.inf
 
+    def first_entries(self, trajs):
+        return [self.first_entry(traj) for traj in trajs]
+
 
 print("\nnaive threshold rules for comparison:")
 for theta in (0.5, 1.5, 2.5, 4.0):

@@ -165,7 +165,17 @@ def cmd_exit_time(args) -> int:
     return EXIT_OK
 
 
+def _check_sims_and_horizon(args) -> None:
+    """Monte Carlo commands need a path and a time span: ValueError (exit
+    code 1, one stderr line) before any work otherwise."""
+    if args.sims < 1:
+        raise ValueError(f"--sims must be at least 1, got {args.sims}")
+    if not args.horizon > 0:
+        raise ValueError(f"--horizon must be positive, got {args.horizon}")
+
+
 def cmd_pdp_check(args) -> int:
+    _check_sims_and_horizon(args)
     out = _out_dir(args)
     loaded = load_model(args.model)
     stats = pdp_check_statistics(loaded["model"], loaded["initial"], args.sims,
@@ -177,6 +187,7 @@ def cmd_pdp_check(args) -> int:
 
 
 def cmd_stop(args) -> int:
+    _check_sims_and_horizon(args)
     out = _out_dir(args)
     loaded = load_model(args.model)
     section = loaded["raw"].get("stopping")

@@ -17,6 +17,11 @@ has one implementation, shared by the filter, the PDP (pdp.py) and the
 Bellman operator (stopping.py): one restriction H_b (_restrict), one kernel
 q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu) (FilterModel._jump_law, from
 the face-local fluxes of FilterModel._flux) and one atom pick (_pick).
+
+run_filter is the filter of one observation path and the reference for
+run_filter_batch, which filters many paths one jump at a time across the
+batch.  Every product of a row and a matrix is summed term by term
+(_col_times), never by BLAS, so that each path gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -270,6 +275,14 @@ class FilterModel:
         x, mass = _restrict(vals)
         return FacePoint(self, a, x, degenerate=bool(mass < FALLBACK_TOL))
 
+    def _outflow(self, a, X):
+        """X Lambda[A, :] for face rows X ((d,) or (N, d)) of label a, summed
+        term by term by _col_times, so that a row has the same bits alone and
+        in a batch (a BLAS product rounds them differently)."""
+        cols = X[:, None] if X.ndim == 1 else X.T
+        out = _col_times(self._out_rows[a][..., None], cols)
+        return out[:, 0] if X.ndim == 1 else np.ascontiguousarray(out.T)
+
     def _flux(self, a, X):
         """Fluxes X Lambda 1_{h^{-1}(b)} of face rows X of label a.
 
@@ -279,7 +292,7 @@ class FilterModel:
         the sum of those fluxes: it equals -X Lambda 1_A, but its terms are
         off-diagonal, so it has no cancellation and the jump masses sum to 1.
         """
-        vec = X @ self._out_rows[a]
+        vec = self._outflow(a, X)
         others = self._others[a]
         # filled in place: np.stack of the sums costs more than the sums on
         # one-row calls
@@ -348,7 +361,7 @@ class FilterModel:
         t_prev = 0.0
         for tj, b in obs_path.jumps:
             pre = self.flow(tj - t_prev, current)
-            x, den = _restrict((pre.x @ self._out_rows[pre.label])[self.faces[b]])
+            x, den = _restrict(self._outflow(pre.label, pre.x)[self.faces[b]])
             if den <= DEG_TOL:
                 raise DegenerateJump(tj, float(den))
             post = FacePoint(self, b, x)
@@ -357,6 +370,49 @@ class FilterModel:
             current = post
             t_prev = tj
         return FilterTrajectory(self, segments, jumps, obs_path.horizon)
+
+    def run_filter_batch(self, obs_paths, mu: Distribution) -> list:
+        """run_filter on each observation path, all paths one jump at a time.
+
+        At the k-th jump of the paths that have one, the paths on each label
+        a take one propagation, one _normalize_rows and one product by
+        Lambda[A, :] for the batch, and the paths to each label b one
+        _restrict.  Each of these works row by row, so trajectory i has the
+        bits of run_filter(obs_paths[i], mu): segments, jump records, times
+        and labels.  Raises DegenerateJump (with run_filter's time and
+        denominator) or FaceMassVanished at the first jump index where some
+        path does, as run_filter does on that path.
+        """
+        paths = list(obs_paths)
+        start = {a: self.restrict_normalize(mu, a)
+                 for a in dict.fromkeys(y.initial_value for y in paths)}
+        segments = [[(0.0, start[y.initial_value])] for y in paths]
+        jumps = [[] for _ in paths]
+        for k in range(max((len(y.jumps) for y in paths), default=0)):
+            groups = {}
+            for i, y in enumerate(paths):
+                if k < len(y.jumps):
+                    groups.setdefault(segments[i][-1][1].label, []).append(i)
+            for a, idx in groups.items():
+                times = [paths[i].jumps[k][0] for i in idx]
+                dt = np.array(times) - np.array([segments[i][-1][0] for i in idx])
+                X = np.array([segments[i][-1][1].x for i in idx])
+                pre = _normalize_rows(self._sub[a].rows(X, dt), dt)
+                vec = self._outflow(a, pre)
+                targets = [paths[i].jumps[k][1] for i in idx]
+                for b in dict.fromkeys(targets):
+                    sel = np.flatnonzero([c == b for c in targets])
+                    x, den = _restrict(vec[np.ix_(sel, self.faces[b])])
+                    bad = np.flatnonzero(den <= DEG_TOL)
+                    if bad.size:
+                        raise DegenerateJump(times[sel[bad[0]]], float(den[bad[0]]))
+                    for s, r in enumerate(sel):
+                        i = idx[r]
+                        post = FacePoint(self, b, x[s])
+                        jumps[i].append(JumpRecord(times[r], FacePoint(self, a, pre[r]), post))
+                        segments[i].append((times[r], post))
+        return [FilterTrajectory(self, seg, jmp, y.horizon)
+                for seg, jmp, y in zip(segments, jumps, paths)]
 
     def discrete_filter(self, mu: Distribution, delta: float, obs_samples) -> list:
         """Discrete-time approximating filter on the grid k*delta.

@@ -35,7 +35,11 @@ from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajecto
 DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
 DEFAULT_TAIL_TOL = 1e-7
 DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)  # continue-to-t branches of the Bellman operator
-REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entry
+REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
+# paths that evaluate_policy_mc filters and scans at once: their scan arrays
+# take about 60 MB on perfbench/models/hexa6.json at horizon 40, against the
+# 340 MB of that model's Bellman build at grid 16
+MC_CHUNK = 64
 
 
 class NoConvergence(RuntimeError):
@@ -456,27 +460,46 @@ class StoppingPolicy:
 
     def first_entry(self, traj: FilterTrajectory, time_tol: float = 1e-8,
                     scan_step: float = 0.02) -> float:
-        """First entry time into the contact set along the trajectory, or inf.
+        """first_entries([traj], time_tol, scan_step)[0]."""
+        return self.first_entries([traj], time_tol, scan_step)[0]
+
+    def first_entries(self, trajs, time_tol: float = 1e-8, scan_step: float = 0.02) -> list:
+        """First entry time into the contact set along each trajectory, or inf.
 
         Each segment [t0, t1] is scanned at its start and, unless its flow is
         frozen (a scalar sub-generator), at ceil((t1 - t0) / scan_step)
         evenly spaced times after it, the last one at t1; all scan points on
-        one label take one propagation and one value interpolation.  Every
-        scan and section time t is evaluated at the offset t - t0, as
-        value_at evaluates it, so should_stop(traj.value_at(tau)) scores the
-        point whose margin ended the search.  The first scan point with
-        margin <= 0 ends the scan.  Unless it is a segment start, the scan
-        cell that ends there is cut into REFINE_POINTS equal parts, the first
-        part whose right end has margin <= 0 is cut again, and so on until
-        the part is no wider than time_tol; its right end is returned.  So
-        the result has margin <= 0 and lies within time_tol of a time with
-        margin > 0: it is a first entry up to time_tol, and an entry and exit
-        that both fall between two points of a section are missed.  Raises
-        FaceMassVanished where x_A e^{t Lambda_A} underflows at a scan point
-        before the entry.
+        one label, of every trajectory, take one propagation and one value
+        interpolation.  Every scan and section time t is evaluated at the
+        offset t - t0, as value_at evaluates it, so
+        should_stop(traj.value_at(tau)) scores the point whose margin ended
+        the search.  A trajectory's first scan point with margin <= 0 ends
+        its scan.  Unless it is a segment start, the scan cell that ends
+        there is cut into REFINE_POINTS equal parts, the first part whose
+        right end has margin <= 0 is cut again, and so on until the part is
+        no wider than time_tol; its right end is returned.  Each round cuts
+        the cells of all trajectories still refining, one propagation per
+        label.  So a result has margin <= 0 and lies within time_tol of a
+        time with margin > 0: it is a first entry up to time_tol, and an
+        entry and exit that both fall between two points of a section are
+        missed.  The margins, the propagation and the interpolation work row
+        by row, so a trajectory's result does not depend on its batch.
+        Raises FaceMassVanished where x_A e^{t Lambda_A} underflows at a scan
+        point of some trajectory before its entry.
         """
+        if not trajs:
+            return []
         model = self.model
-        t0, t1, ids, starts, local = traj._segment_table()
+        labels = model.obs.labels
+        tables = [traj._segment_table() for traj in trajs]
+        t0, t1, ids = (np.concatenate([tab[c] for tab in tables]) for c in range(3))
+        # the segment starts of all trajectories stacked per label, and the row
+        # of each segment there
+        starts = {a: np.concatenate([tab[3][a] for tab in tables]) for a in labels}
+        counts = np.array([[len(tab[3][a]) for a in labels] for tab in tables])
+        offset = np.cumsum(counts, axis=0) - counts
+        local = np.concatenate([tab[4] + offset[p][tab[2]] for p, tab in enumerate(tables)])
+        owner = np.repeat(np.arange(len(tables)), [len(tab[0]) for tab in tables])
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
         n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
@@ -486,37 +509,57 @@ class StoppingPolicy:
         last = (j == n_scan[seg]) & (j > 0)
         times[last] = t1[seg[last]]
         margins = np.empty(len(seg))
-        for i, a in enumerate(model.obs.labels):
+        for i, a in enumerate(labels):
             on = ids[seg] == i
             if on.any():
                 margins[on] = self._flow_margins(a, starts[a][local[seg[on]]],
                                                  times[on] - t0[seg[on]])
-        hit = np.flatnonzero(margins <= 0.0)
-        lost = np.flatnonzero(np.isnan(margins))
-        first = hit[0] if hit.size else len(margins)
-        if lost.size and lost[0] < first:
-            raise FaceMassVanished(f"flow mass 0 on face {model.obs.labels[ids[seg[lost[0]]]]!r} "
-                                   f"at t={times[lost[0]]}")
-        if not hit.size:
-            return math.inf
-        k = seg[first]
-        a = model.obs.labels[ids[k]]
-        x = starts[a][local[k]]
-        lo, hi = times[first - 1 if j[first] else first], times[first]
-        width = math.inf
-        while time_tol < hi - lo < width:  # stops too where rounding halts progress
-            width = hi - lo
-            ts = np.linspace(lo, hi, REFINE_POINTS + 1)[1:-1]
-            section = self._flow_margins(a, x, ts - t0[k])
+        # each trajectory's first scan point with margin <= 0, and with no mass
+        end = len(margins)
+        first, lost = np.full(len(trajs), end), np.full(len(trajs), end)
+        for out, flags in ((first, margins <= 0.0), (lost, np.isnan(margins))):
+            at = np.flatnonzero(flags)
+            np.minimum.at(out, owner[seg[at]], at)
+        gone = np.flatnonzero(lost < first)
+        if gone.size:
+            at = lost[gone[0]]
+            raise FaceMassVanished(f"flow mass 0 on face {labels[ids[seg[at]]]!r} "
+                                   f"at t={times[at]}")
+        tau = np.full(len(trajs), math.inf)
+        found = np.flatnonzero(first < end)
+        at = first[found]
+        k = seg[at]
+        lo, hi = times[np.where(j[at] > 0, at - 1, at)], times[at]
+        width = np.full(len(found), math.inf)
+        cut = np.arange(1, REFINE_POINTS)
+        while True:
+            # stops too where rounding halts progress
+            act = np.flatnonzero((time_tol < hi - lo) & (hi - lo < width))
+            if not act.size:
+                break
+            width[act] = hi[act] - lo[act]
+            # np.linspace(lo, hi, REFINE_POINTS + 1)[1:-1] of every active cell
+            ts = lo[act, None] + cut * (width[act] / REFINE_POINTS)[:, None]
+            section = np.empty(ts.shape)
+            for i, a in enumerate(labels):
+                on = ids[k[act]] == i
+                if on.any():
+                    ks = k[act[on]]
+                    section[on] = self._flow_margins(
+                        a, np.repeat(starts[a][local[ks]], len(cut), axis=0),
+                        (ts[on] - t0[ks, None]).ravel()).reshape(-1, len(cut))
             if np.isnan(section).any():
-                raise FaceMassVanished(f"flow mass 0 on face {a!r} after t={lo}")
-            inside = np.flatnonzero(section <= 0.0)
-            if inside.size:
-                i = inside[0]
-                lo, hi = (ts[i - 1] if i else lo), ts[i]
-            else:
-                lo = ts[-1]
-        return float(hi)
+                r = np.flatnonzero(np.isnan(section).any(axis=1))[0]
+                raise FaceMassVanished(f"flow mass 0 on face {labels[ids[k[act[r]]]]!r} "
+                                       f"after t={lo[act[r]]}")
+            inside = section <= 0.0
+            i = np.argmax(inside, axis=1)
+            rows = np.arange(len(act))
+            hit = inside[rows, i]
+            lo[act] = np.where(hit, np.where(i > 0, ts[rows, i - 1], lo[act]), ts[:, -1])
+            hi[act] = np.where(hit, ts[rows, i], hi[act])
+        tau[found] = hi
+        return tau.tolist()
 
 
 def stopping_rule(v: ValueFunction, eps: float = None) -> StoppingPolicy:
@@ -531,21 +574,33 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
                        model: FilterModel = None):
     """Monte Carlo estimate (mean, stderr) of the policy's cost from mu.
 
-    Stopping is censored at the horizon (tau treated as infinite), valid when
-    e^{-alpha horizon} (max|g| + max|l|/alpha) is negligible.
+    Path r is sampled from rng.stream(r) and observed through model.obs.
+    The paths are filtered and scanned in chunks of MC_CHUNK: one
+    run_filter_batch and one policy.first_entries(trajs) per chunk, which
+    returns the stopping time of each trajectory (inf for never), then
+    cost_along_filter per path.  A policy that has only first_entry(traj)
+    is run path by path instead, through run_filter.  Both ways give every
+    path the bits it has alone, so (mean, stderr) do not depend on the
+    chunk.  Stopping is censored at the horizon (tau treated as infinite),
+    valid when e^{-alpha horizon} (max|g| + max|l|/alpha) is negligible.
     """
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     if model is None:
         model = policy.model
     costs = np.empty(n_sims)
-    for r in range(n_sims):
-        sub_rng = rng.stream(r)
-        path = sample_chain(model.rate, mu, horizon, sub_rng)
-        obs = observe(path, model.obs)
-        traj = model.run_filter(obs, mu)
-        tau = policy.first_entry(traj)
-        if tau > horizon:
-            tau = math.inf
-        costs[r] = cost_along_filter(traj, tau, prob)
+    for first in range(0, n_sims, MC_CHUNK):
+        chunk = range(first, min(first + MC_CHUNK, n_sims))
+        obs = [observe(sample_chain(model.rate, mu, horizon, rng.stream(r)), model.obs)
+               for r in chunk]
+        if hasattr(policy, "first_entries"):
+            trajs = model.run_filter_batch(obs, mu)
+            taus = policy.first_entries(trajs)
+        else:
+            trajs = [model.run_filter(y, mu) for y in obs]
+            taus = [policy.first_entry(traj) for traj in trajs]
+        for r, traj, tau in zip(chunk, trajs, taus):
+            costs[r] = cost_along_filter(traj, math.inf if tau > horizon else tau, prob)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_sims)) if n_sims > 1 else 0.0
     return mean, stderr

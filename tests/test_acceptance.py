@@ -223,6 +223,9 @@ class ThresholdPolicy:
                 return t0
         return math.inf
 
+    def first_entries(self, trajs):
+        return [self.first_entry(traj) for traj in trajs]
+
 
 def test_criterion_6_stopping_solver_oracle(cyclic4, solved64):
     t0 = time.perf_counter()

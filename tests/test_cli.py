@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pdpfilter.cli import main, run_from_manifest
 
@@ -177,6 +178,22 @@ class TestPdpCheck:
         assert len(stats) >= 3
         for s in stats:
             assert {"statistic", "empirical", "analytic", "stderr", "pass"} <= set(s)
+
+
+@pytest.mark.parametrize("command", ["stop", "pdp-check"])
+@pytest.mark.parametrize("flag, value", [("--sims", "0"), ("--sims", "-3"),
+                                         ("--horizon", "0"), ("--horizon", "-1"),
+                                         ("--horizon", "nan")])
+def test_monte_carlo_commands_reject_bad_sims_and_horizon(tmp_path, capsys, command,
+                                                          flag, value):
+    # checked before the model is loaded or the output directory made (a
+    # missing model file would also exit 1, but with another message)
+    out = tmp_path / "out"
+    rc = main([command, "--model", str(tmp_path / "nope.json"), "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0], err
+    assert not out.exists()
 
 
 class TestReplay:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdpfilter import (
     DegenerateJump,
@@ -301,6 +303,69 @@ class TestRunFilter:
                 w = traj.value_at(t).weights
                 assert w.min() >= 0.0
                 assert abs(w.sum() - 1.0) < 1e-9
+
+
+@st.composite
+def filter_batches(draw):
+    """A random model, a random mu > 0 and a batch of observation paths of
+    mixed horizons, jump-free paths among them.  Sometimes the model has no
+    rate from the face of the first label into the second, and the batch
+    holds, at a drawn place, a path with that jump (run_filter raises
+    DegenerateJump on it); it is returned apart as well."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    obs = random_observation(gen, n, draw(st.integers(2, min(n, 3))))
+    entries = random_rate_matrix(gen, n).entries.copy()
+    first, second = (obs.level_sets[a] for a in obs.labels[:2])
+    bad = draw(st.booleans())
+    if bad:
+        entries[np.ix_(first, second)] = 0.0
+        np.fill_diagonal(entries, 0.0)
+        np.fill_diagonal(entries, -entries.sum(axis=1))
+    model = FilterModel(validate_generator(entries), obs)
+    mu = Distribution(gen.dirichlet(np.ones(n)))
+    paths = []
+    for horizon in draw(st.lists(st.sampled_from([0.5, 2.0, 6.0]), min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            paths.append(observe(sample_chain(model.rate, mu, horizon, gen), obs))
+        else:
+            paths.append(PiecewisePath(draw(st.sampled_from(obs.labels)), (), horizon))
+    if not bad:
+        return model, mu, paths, None
+    jump = ((draw(st.floats(0.01, 0.99)), obs.labels[1]),)
+    degenerate = PiecewisePath(obs.labels[0], jump, 1.0)
+    paths.insert(draw(st.integers(0, len(paths))), degenerate)
+    return model, mu, paths, degenerate
+
+
+def assert_same_trajectory(a, b):
+    assert a.horizon == b.horizon
+    assert len(a.segments) == len(b.segments) and len(a.jumps) == len(b.jumps)
+    points = [(ta, fa, tb, fb) for (ta, fa), (tb, fb) in zip(a.segments, b.segments)]
+    points += [(ja.time, ja.pre, jb.time, jb.pre) for ja, jb in zip(a.jumps, b.jumps)]
+    points += [(ja.time, ja.post, jb.time, jb.post) for ja, jb in zip(a.jumps, b.jumps)]
+    for ta, fa, tb, fb in points:
+        assert ta == tb and type(ta) is type(tb)
+        assert fa.label == fb.label and fa.degenerate == fb.degenerate
+        assert np.array_equal(fa.x, fb.x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_batches())
+def test_run_filter_batch_is_run_filter_bit_for_bit(problem):
+    model, mu, paths, degenerate = problem
+    if degenerate is None:
+        batch = model.run_filter_batch(paths, mu)
+        assert len(batch) == len(paths)
+        for y, traj in zip(paths, batch):
+            assert_same_trajectory(traj, model.run_filter(y, mu))
+        assert model.run_filter_batch([], mu) == []
+        return
+    with pytest.raises(DegenerateJump) as alone:
+        model.run_filter(degenerate, mu)
+    with pytest.raises(DegenerateJump) as batch:
+        model.run_filter_batch(paths, mu)
+    assert (batch.value.time, batch.value.value) == (alone.value.time, alone.value.value)
 
 
 class TestDiscreteFilter:

@@ -496,8 +496,8 @@ def test_face_local_invariants(problem, seed):
     """Filter points stay probability vectors on their faces, `weights` is x
     scattered onto the face, the flow is a semigroup, and every jump law is a
     law on the other faces.  The jump law is one law: jump_measure's masses
-    are _jump_law's, _pick and _restrict give a row in a batch the bits they
-    give it alone, and run_filter jumps to jump_measure's atoms.  The start
+    are _jump_law's, _jump_law, _pick and _restrict give a row in a batch the
+    bits they give it alone, and run_filter jumps to jump_measure's atoms.  The start
     delta_0 has rate 0 where state 0 has no exit (degenerate law), and the
     last label may get no flux from face "0" (zero-mass atoms)."""
     model, nu, t = problem
@@ -520,8 +520,7 @@ def test_face_local_invariants(problem, seed):
             _, alone_lam, alone = model._jump_law(a, fp.x)
             assert [m for _, m in law.atoms] == alone[alone > 0].tolist()
             assert law.degenerate == (alone_lam < DEG_TOL)
-            # X Lambda[A, :] is a BLAS product: a batch row may differ in its last bits
-            np.testing.assert_allclose(q[i], alone, rtol=1e-12, atol=1e-15)
+            assert np.array_equal(q[i], alone)
         # uniforms 0, just below the last cumulative mass, at it and above it
         last = np.cumsum(q, axis=1)[:, -1]
         us = np.stack([np.zeros_like(last), np.nextafter(last, 0.0), last,

@@ -28,6 +28,7 @@ from pdpfilter import (
     value_general,
     verify_variational,
 )
+from pdpfilter import stopping
 from pdpfilter.stopping import BellmanOperator, ValueFunction, psi_values
 from conftest import HEXA6_GENERATOR
 
@@ -257,8 +258,8 @@ class TestPolicy:
 
     def test_policy_mc_never_stop_unit_cost(self, cyclic4, uniform4):
         class NeverStop:
-            def first_entry(self, traj):
-                return math.inf
+            def first_entries(self, trajs):
+                return [math.inf] * len(trajs)
 
         horizon = 12.0
         prob = StoppingProblem(g=np.zeros(4), l=np.ones(4), alpha=0.5)
@@ -267,6 +268,41 @@ class TestPolicy:
         expected = (1 - math.exp(-0.5 * horizon)) / 0.5
         assert abs(mean - expected) < 1e-8
         assert stderr < 1e-10
+
+    def test_policy_mc_rejects_no_paths(self, uniform4, solved4):
+        with pytest.raises(ValueError):
+            evaluate_policy_mc(uniform4, stopping_rule(solved4), PROB4, 0, 10.0, RandomSource(1))
+
+    def test_policy_mc_values_pinned_and_chunk_free(self, solved4, monkeypatch):
+        # (mean, stderr) pinned to the values of the path-by-path evaluation:
+        # on hexa6 (moving flows, so the scan refines) at the benchmark's
+        # batch shape, and on cyclic4 over three chunks
+        hexa6 = FilterModel(validate_generator(HEXA6_GENERATOR),
+                            ObservationModel.from_assignment(("a", "a", "a", "a", "b", "b")))
+        prob6 = StoppingProblem(g=[1, 3, 0.5, 2, 4, 0.2], l=[0.5, 0.2, 1, 0.3, 0.8, 1.5],
+                                alpha=0.5)
+        runs = [
+            (stopping_rule(solve_value(hexa6, prob6, FaceGrid(hexa6, 8), tol=1e-6)),
+             Distribution(np.full(6, 1.0 / 6)), prob6, 25, RandomSource(1, 901).stream(0),
+             (1.2590524903235663, 0.04573357982702855)),
+            (stopping_rule(solved4), Distribution([0.5, 0.1, 0.2, 0.2]), PROB4, 150,
+             RandomSource(54), (1.388842088814382, 0.012496220253558045)),
+        ]
+        assert 150 > stopping.MC_CHUNK
+
+        class PerPath:  # first_entry only: evaluated path by path through run_filter
+            def __init__(self, policy):
+                self.policy, self.model = policy, policy.model
+
+            def first_entry(self, traj):
+                return self.policy.first_entry(traj)
+
+        for policy, mu, prob, n, rng, pinned in runs:
+            assert evaluate_policy_mc(mu, policy, prob, n, 40.0, rng) == pinned
+            assert evaluate_policy_mc(mu, PerPath(policy), prob, n, 40.0, rng) == pinned
+        monkeypatch.setattr(stopping, "MC_CHUNK", 7)
+        for policy, mu, prob, n, rng, pinned in runs:
+            assert evaluate_policy_mc(mu, policy, prob, n, 40.0, rng) == pinned
 
     def test_policy_cost_close_to_value(self, cyclic4, solved4):
         mu = Distribution([0.5, 0.1, 0.2, 0.2])
@@ -416,7 +452,8 @@ POLICY_MODELS = [
 
 @st.composite
 def policy_problems(draw):
-    """A policy on a model with faces of 1 to 4 states, and a filter path.
+    """A policy on a model with faces of 1 to 4 states, a filter path, and a
+    batch of 1 to 4 filter paths that starts with it.
 
     The policy is either solved, or has a margin nu g - v(nu) - eps that is
     affine on each face: positive at the start of a drawn segment and
@@ -438,14 +475,18 @@ def policy_problems(draw):
     n = model.n
     mu = Distribution(np.full(n, 1.0 / n))
     horizon = draw(st.sampled_from([3.0, 10.0]))
-    path = sample_chain(model.rate, mu, horizon, RandomSource(draw(st.integers(0, 2**32 - 1))))
-    traj = model.run_filter(observe(path, model.obs), mu)
+    trajs = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed = draw(st.integers(0, 2**32 - 1))
+        path = sample_chain(model.rate, mu, horizon, RandomSource(seed))
+        trajs.append(model.run_filter(observe(path, model.obs), mu))
+    traj = trajs[0]
     cost = st.floats(0.0, 5.0)
     prob = StoppingProblem(g=[draw(cost) for _ in range(n)], l=[draw(cost) for _ in range(n)],
                            alpha=draw(st.floats(0.5, 2.0)))
     grid = FaceGrid(model, draw(st.sampled_from([3, 6])))
     if draw(st.booleans()):
-        return stopping_rule(solve_value(model, prob, grid, tol=1e-6)), traj
+        return stopping_rule(solve_value(model, prob, grid, tol=1e-6)), traj, trajs
     eps = 1e-6
     values = {}
     for a, face in model.faces.items():
@@ -465,15 +506,18 @@ def policy_problems(draw):
             level = draw(st.floats(0.01, 1.0)) - float((grid.points[a] @ slope).min())
         margin = grid.points[a] @ slope + level
         values[a] = grid.points[a] @ prob.g[face] - eps - margin
-    return StoppingPolicy(ValueFunction(grid, values, prob), eps), traj
+    return StoppingPolicy(ValueFunction(grid, values, prob), eps), traj, trajs
 
 
 @settings(max_examples=200, deadline=None)
 @given(policy_problems())
 def test_first_entry_matches_segment_scan_and_bisection(problem):
-    policy, traj = problem
+    policy, traj, batch = problem
     time_tol, scan_step = 1e-8, 0.02
+    taus = policy.first_entries(batch, time_tol, scan_step)
+    assert taus == [policy.first_entries([t], time_tol, scan_step)[0] for t in batch]
     tau = policy.first_entry(traj, time_tol, scan_step)
+    assert tau == taus[0] and policy.first_entries([]) == []
     ref = reference_first_entry(policy, traj, time_tol, scan_step)
     assert math.isinf(tau) == math.isinf(ref), (tau, ref)
     if math.isinf(tau):
@@ -590,6 +634,10 @@ class TestFaceMassUnderflow:
                                1e-6)
         with pytest.raises(FaceMassVanished):
             never.first_entry(traj)
+        # in a batch too, behind a trajectory without an underflow
+        frozen = traj.model.run_filter(PiecewisePath("b", (), 30.0), Distribution([0, 0, 1.0]))
+        with pytest.raises(FaceMassVanished):
+            never.first_entries([frozen, traj])
         # an entry before the underflow is still found
         now = StoppingPolicy(ValueFunction(grid, {a: v + 1.0 for a, v in psi.items()}, prob),
                              1e-6)

@@ -33,6 +33,9 @@ RUNS = (
     + [(f"stop-hexa6-seed{s}",
         ["stop", "--model", HEXA6, "--sims", "200", "--horizon", "40", "--seed", s])
        for s in (1, 2)]
+    # several Monte Carlo chunks on faces whose flows move, so the scan refines
+    + [("stop-hexa6-sims600-seed3",
+        ["stop", "--model", HEXA6, "--sims", "600", "--horizon", "40", "--seed", 3])]
     + [("stop-cyclic4-grid64-seed1", ["stop", "--model", CYCLIC4, "--grid", "64", "--seed", 1])]
     + [(f"filter-cyclic4-seed{s}", ["filter", "--model", CYCLIC4, "--seed", s])
        for s in (1, 2, 3)]
