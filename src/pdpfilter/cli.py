@@ -59,13 +59,17 @@ def _file_sha256(path: str):
         return None
 
 
-def _write_manifest(out, command, config):
+def _write_manifest(out, command, config, telemetry=None):
+    """manifest.json of a run; telemetry (run health, not replayed) goes here
+    only, so that the other outputs of a replay stay byte-identical."""
     payload = {
         "command": command,
         "config": config,
         "model_sha256": _file_sha256(config["model"]),
         "version": __version__,
     }
+    if telemetry is not None:
+        payload["telemetry"] = telemetry
     write_json(os.path.join(out, "manifest.json"), payload)
 
 
@@ -237,7 +241,11 @@ def cmd_stop(args) -> int:
             rows.append((str(a), r, coords, vals[r], obstacle[r], in_contact))
     write_csv(os.path.join(out, "value.csv"),
               ["label", "point", "coords", "value", "obstacle", "in_contact_set"], rows)
-    _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]))
+    deltas = vf.info["deltas"]
+    telemetry = {"solver": {"sweep_deltas": deltas,
+                            "delta_ratios": [b / a for a, b in zip(deltas, deltas[1:])]}}
+    _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]),
+                    telemetry)
     return EXIT_OK
 
 

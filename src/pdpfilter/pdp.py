@@ -112,7 +112,8 @@ class BeliefPdp:
     def sojourn_from_uniform(self, nu: FacePoint, u: float, horizon: float):
         """Inverse transform at a given uniform draw; None means censored.
 
-        The draw is censored when S(horizon) > u.  Otherwise the result is
+        The draw is censored when S(horizon) > u or u = 0 (S > 0 in exact
+        arithmetic, also where it underflows).  Otherwise the result is
         the right end of a bracket [lo, hi] no wider than SOJOURN_TOL with
         S(lo) > u >= S(hi), found by the Newton iteration of sojourn_times.
         Plateaus of S (lambda = 0 stretches) resolve to their left endpoint.
@@ -135,7 +136,9 @@ class BeliefPdp:
         """
         us = np.asarray(us, dtype=float)
         times = np.full(us.shape, math.inf)
-        idx = np.flatnonzero(us >= self.sojourn_survival(nu, horizon))
+        # S > 0 on [0, horizon] in exact arithmetic, so u = 0 is always censored,
+        # also where S(horizon) underflows to 0
+        idx = np.flatnonzero((us >= self.sojourn_survival(nu, horizon)) & (us > 0.0))
         sub = self.model._sub[nu.label]
         x = nu.x
         exit_rates = -sub.matrix.sum(axis=1)

@@ -38,8 +38,10 @@ DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)  # continue-to-t branches of the Bellman o
 REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
 # paths that evaluate_policy_mc filters and scans at once: their scan arrays
 # take about 60 MB on perfbench/models/hexa6.json at horizon 40, against the
-# 340 MB of that model's Bellman build at grid 16
+# 88 MB that the Bellman operator of that model keeps at grid 16
 MC_CHUNK = 64
+# mesh steps that the Bellman operator builds and sweeps at once
+TIME_CHUNK = 32
 
 
 class NoConvergence(RuntimeError):
@@ -196,6 +198,14 @@ class BellmanOperator:
     times then hold up to the residual.  Ties in the minimization go to the
     smallest t.  Integrals use composite Simpson on the uniform mesh (nodes
     plus midpoints).
+
+    The time axis is built and swept in chunks of TIME_CHUNK mesh steps, so
+    the transient arrays are those of one chunk; the results do not depend
+    on the chunk.  Retained per label a, at every node (and, for the running
+    and jump terms, every midpoint) and grid point: the flowed obstacle,
+    running cost and survival mass, and for each other label b the flux
+    into b with the interpolation gather (indices and weights) of its jump
+    target; plus the self-gathers of the flowed points at the branch times.
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
@@ -215,95 +225,126 @@ class BellmanOperator:
         self._branch_ks = sorted(set(self.check_ks) | {K})
         self.disc = np.exp(-alpha * self.times)
         self.discm = np.exp(-alpha * (self.times[:K] + dt / 2))
-        self._pre = {}
-        labels = model.obs.labels
-        for a in labels:
-            face = model.faces[a]
-            d = len(face)
-            n = grid.n_points(a)
-            sub = model._sub[a].matrix
-            E = expm(dt * sub)
-            Eh = expm(0.5 * dt * sub)
-            W = np.empty((K + 1, n, d))
-            W[0] = grid.points[a]
-            for k in range(K):
-                W[k + 1] = W[k] @ E
-            Wm = W[:K] @ Eh
-            W = np.clip(W, 0.0, None)
-            Wm = np.clip(Wm, 0.0, None)
-            entry = {
-                "face": face,
-                "n": n,
-                "stop": W @ prob.g[face],
-                "run": W @ prob.l[face],
-                "runm": Wm @ prob.l[face],
-                "mass": W.sum(axis=2),
-                "jump": [],
-                "self_gather": {},
-            }
+        self._pre = {a: self._build(a) for a in model.obs.labels}
+
+    def _build(self, a) -> dict:
+        """Label a's retained tables, filled chunk by chunk along the flow
+        W_{k+1} = W_k e^{dt Lambda_A} (midpoints W_k e^{dt/2 Lambda_A}), each
+        chunk propagated from the unclipped row before it and then clipped."""
+        model, grid, K = self.model, self.grid, self.K
+        face = model.faces[a]
+        d = len(face)
+        n = grid.n_points(a)
+        sub = model._sub[a].matrix
+        E = expm(self.dt * sub)
+        Eh = expm(0.5 * self.dt * sub)
+        g, l = self.prob.g[face], self.prob.l[face]
+
+        def series(steps):
+            """Running cost, and (b, flux, idx, wgt) per other label b, at `steps` times."""
+            gathers = []
             for b in model._others[a]:
-                block = model._out_rows[a][:, model.faces[b]]
-                entry["jump"].append((b, self._target_gather(b, W @ block),
-                                      self._target_gather(b, Wm @ block)))
+                shape = (steps, n, len(model.faces[b]) + 1)
+                gathers.append((b, np.empty((steps, n)), np.empty(shape, dtype=np.int64),
+                                np.empty(shape)))
+            return np.empty((steps, n)), gathers
+
+        e = {"n": n, "stop": np.empty((K + 1, n)), "mass": np.empty((K + 1, n)),
+             "node": series(K + 1), "mid": series(K), "self_gather": {}}
+        last = None
+        for k0 in range(0, K + 1, TIME_CHUNK):
+            k1 = min(k0 + TIME_CHUNK, K + 1)
+            W = np.empty((k1 - k0, n, d))
+            W[0] = grid.points[a] if last is None else last @ E
+            for i in range(1, k1 - k0):
+                W[i] = W[i - 1] @ E
+            Wm = W[: min(k1, K) - k0] @ Eh
+            last = W[-1].copy()
+            np.clip(W, 0.0, None, out=W)
+            np.clip(Wm, 0.0, None, out=Wm)
+            e["stop"][k0:k1] = W @ g
+            e["mass"][k0:k1] = W.sum(axis=2)
+            for rows, X, (run, gathers) in ((slice(k0, k1), W, e["node"]),
+                                            (slice(k0, k0 + len(Wm)), Wm, e["mid"])):
+                run[rows] = X @ l
+                for b, flux, idx, wgt in gathers:
+                    T = X @ model._out_rows[a][:, model.faces[b]]
+                    Tn, flux[rows] = _restrict(T)
+                    ix, wt = grid.interpolation_weights(b, Tn.reshape(-1, T.shape[-1]))
+                    idx[rows] = ix.reshape(idx[rows].shape)
+                    wgt[rows] = wt.reshape(wgt[rows].shape)
             for k in self._branch_ks:
-                entry["self_gather"][k] = grid.interpolation_weights(a, _restrict(W[k])[0])
-            self._pre[a] = entry
+                if k0 <= k < k1:
+                    e["self_gather"][k] = grid.interpolation_weights(a, _restrict(W[k - k0])[0])
+        return e
 
-    def _target_gather(self, b, T):
-        """Fluxes into face b of the rows T = u Lambda[A, h^{-1}(b)] (..., d_b),
-        and the interpolation gather arrays of their atoms H_b[T]: _restrict
-        gives both."""
-        Tn, flux = _restrict(T)
-        idx, wgt = self.grid.interpolation_weights(b, Tn.reshape(-1, T.shape[-1]))
-        return flux, idx.reshape(flux.shape + (-1,)), wgt.reshape(flux.shape + (-1,))
+    def _integrand(self, values: dict, series, disc: np.ndarray, rows: slice) -> np.ndarray:
+        """Discounted running-plus-jump integrand at the rows of one mesh
+        (the nodes or the midpoints) of a label's series."""
+        run, gathers = series
+        jump = np.zeros_like(run[rows])
+        for b, flux, idx, wgt in gathers:
+            jump += flux[rows] * (values[b][idx[rows]] * wgt[rows]).sum(axis=2)
+        return disc[rows, None] * (run[rows] + jump)
 
-    def _cumulative(self, values: dict, a):
-        """Cumulative Simpson integral I_k of the discounted running-plus-jump integrand."""
+    def _sweep(self, values: dict, a):
+        """One pass over label a's time axis, chunk by chunk: the minimum over
+        the stop branches I_k + e^{-alpha t_k} S_k psi(phi_k), and the
+        cumulative Simpson integral I_k at the branch times.  Each chunk
+        takes its nodes plus the node before it, whose I starts np.cumsum,
+        so I_k is summed in mesh order whatever the chunk."""
         e = self._pre[a]
-        K = self.K
-        jump_n = np.zeros_like(e["run"])
-        jump_m = np.zeros_like(e["runm"])
-        for b, (fn, ixn, wn), (fm, ixm, wm) in e["jump"]:
-            vb = values[b]
-            jump_n += fn * (vb[ixn] * wn).sum(axis=2)
-            jump_m += fm * (vb[ixm] * wm).sum(axis=2)
-        q = self.disc[:, None] * (e["run"] + jump_n)
-        qm = self.discm[:, None] * (e["runm"] + jump_m)
-        inc = (self.dt / 6.0) * (q[:-1] + 4.0 * qm + q[1:])
-        I = np.empty_like(q)
-        I[0] = 0.0
-        np.cumsum(inc, axis=0, out=I[1:])
-        return I
+        best = None
+        at = {}
+        I_prev = np.zeros(e["n"])  # I_0
+        for k0 in range(0, self.K + 1, TIME_CHUNK):
+            k1 = min(k0 + TIME_CHUNK, self.K + 1)
+            lo = max(k0 - 1, 0)
+            q = self._integrand(values, e["node"], self.disc, slice(lo, k1))
+            qm = self._integrand(values, e["mid"], self.discm, slice(lo, k1 - 1))
+            I = np.empty_like(q)
+            I[0] = I_prev
+            I[1:] = (self.dt / 6.0) * (q[:-1] + 4.0 * qm + q[1:])
+            np.cumsum(I, axis=0, out=I)
+            I = I[k0 - lo:]  # nodes k0 .. k1 - 1
+            I_prev = I[-1]
+            low = (I + self.disc[k0:k1, None] * e["stop"][k0:k1]).min(axis=0)
+            best = low if best is None else np.minimum(best, low)
+            for k in self._branch_ks:
+                if k0 <= k < k1:
+                    at[k] = I[k - k0]
+        return best, at
 
-    def _continuation(self, I: np.ndarray, values: dict, a, k) -> np.ndarray:
-        """Continue-to-t_k branch I_k + e^{-alpha t_k} S_k v(phi_k), with I
-        the cumulative integral of label a."""
+    def _continuation(self, I_k: np.ndarray, values: dict, a, k) -> np.ndarray:
+        """Continue-to-t_k branch I_k + e^{-alpha t_k} S_k v(phi_k) of label a."""
         e = self._pre[a]
         idx, wgt = e["self_gather"][k]
-        return I[k] + self.disc[k] * e["mass"][k] * (values[a][idx] * wgt).sum(axis=1)
+        return I_k + self.disc[k] * e["mass"][k] * (values[a][idx] * wgt).sum(axis=1)
 
     def apply(self, values: dict) -> dict:
         out = {}
         for a in self.model.obs.labels:
-            I = self._cumulative(values, a)
-            g_stop = I + self.disc[:, None] * self._pre[a]["stop"]
-            best = g_stop.min(axis=0)
+            best, I = self._sweep(values, a)
             for k in self._branch_ks:
-                np.minimum(best, self._continuation(I, values, a, k), out=best)
+                np.minimum(best, self._continuation(I[k], values, a, k), out=best)
             out[a] = best
         return out
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
                 tol: float = 1e-6, max_iter: int = 10000) -> ValueFunction:
-    """Value iteration from the obstacle psi until the sup-norm change < tol."""
+    """Value iteration from the obstacle psi until the sup-norm change < tol.
+
+    info records the sup-norm change of every sweep in "deltas"."""
     op = BellmanOperator(model, grid, prob)
     values = psi_values(grid, prob)
     iterations = 0
     delta = math.inf
+    deltas = []
     for iterations in range(1, max_iter + 1):
         new = op.apply(values)
         delta = max(np.abs(new[a] - values[a]).max() for a in new)
+        deltas.append(float(delta))
         values = new
         if delta < tol:
             break
@@ -314,6 +355,7 @@ def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
     info = {
         "iterations": iterations,
         "residual": residual,
+        "deltas": deltas,
         "tol": tol,
         "dt": op.dt,
         "t_max": op.t_max,
@@ -625,9 +667,9 @@ def verify_variational(v: ValueFunction, prob: StoppingProblem, tol: float = 5e-
     cont_violation = -math.inf
     checked = [op.times[k] for k in op.check_ks]
     for a in model.obs.labels:
-        I = op._cumulative(v.values, a)
+        I = op._sweep(v.values, a)[1]
         for k in op.check_ks:
-            cont = op._continuation(I, v.values, a, k)
+            cont = op._continuation(I[k], v.values, a, k)
             cont_violation = max(cont_violation, float((v.values[a] - cont).max()))
     g_max = float(np.abs(prob.g).max())
     l_max = float(np.abs(prob.l).max())

@@ -166,6 +166,19 @@ class TestStop:
             4 * solution["mc_stderr"] + 0.05
         )
 
+    def test_manifest_telemetry_has_sweep_deltas(self, tmp_path):
+        rc = main(["stop", "--model", CYCLIC4, "--out", str(tmp_path),
+                   "--sims", "20", "--horizon", "20", "--grid", "8"])
+        assert rc == 0
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        solver = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["solver"]
+        deltas, ratios = solver["sweep_deltas"], solver["delta_ratios"]
+        assert len(deltas) == solution["iterations"]
+        assert deltas[-1] < 1e-6 <= deltas[-2]
+        assert ratios == [b / a for a, b in zip(deltas, deltas[1:])]
+        assert all(0.0 < r < 1.0 for r in ratios)
+        assert "telemetry" not in solution
+
 
 class TestPdpCheck:
     def test_statistics_pass(self, tmp_path):

@@ -172,6 +172,29 @@ class TestSampleSojourn:
         for _ in range(10):
             assert pdp.sample_sojourn(nu, 100.0, gen) is None
 
+    def test_zero_uniform_censored_where_survival_underflows(self):
+        # exit rates 40-50: S underflows to 0 before t = 30, but S > 0 in exact
+        # arithmetic, so a uniform of exactly 0 is censored as at t = 10
+        model = FilterModel(validate_generator([[-41, 1, 40], [1, -51, 50], [1, 1, -2]]),
+                            ObservationModel.from_assignment(("a", "a", "b")))
+        pdp = BeliefPdp(model)
+        nu = model.face_point("a", [0.5, 0.5, 0.0])
+        assert pdp.sojourn_survival(nu, 30.0) == 0.0
+        for horizon in (10.0, 30.0):
+            assert pdp.sojourn_from_uniform(nu, 0.0, horizon) is None
+        us = np.array([0.3, 1e-300, 0.7])
+        times = pdp.sojourn_times(nu, np.concatenate([[0.0], us]), 30.0)
+        assert times[0] == np.inf
+        assert np.array_equal(times[1:], pdp.sojourn_times(nu, us, 30.0))
+        assert np.isfinite(times[1:]).all()
+
+        class Zeros:  # a generator whose every uniform is 0.0
+            def random(self):
+                return 0.0
+
+        traj = pdp.simulate_pdp(nu, 30.0, Zeros())
+        assert traj.jumps == []
+
     def test_inverse_transform_monotone(self):
         model = three_state_model()
         pdp = BeliefPdp(model)
@@ -288,8 +311,9 @@ class TestExitSurvivalNonlinear:
 
 
 def bisect_sojourn(pdp, nu, u, horizon, tol=1e-10, max_iter=80):
-    """Reference inversion: plain bisection on S(t) > u, as the sampler used to do."""
-    if pdp.sojourn_survival(nu, horizon) > u:
+    """Reference inversion: plain bisection on S(t) > u, as the sampler used to do.
+    u = 0 is censored: S > 0 in exact arithmetic, also where it underflows."""
+    if u == 0.0 or pdp.sojourn_survival(nu, horizon) > u:
         return None
     lo, hi = 0.0, float(horizon)
     for _ in range(max_iter):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ PROB4 = StoppingProblem(g=[0.0, 2.0, 5.0, 3.0], l=[1.0, 0.5, 2.0, 0.2], alpha=0.
 def solved4(cyclic4):
     grid = FaceGrid(cyclic4, 32)
     return solve_value(cyclic4, PROB4, grid, tol=1e-6)
+
+
+def hexa6_problem():
+    """perfbench/models/hexa6.json with its stopping problem: a 4-state face
+    whose flow moves and a 2-state face."""
+    model = FilterModel(validate_generator(HEXA6_GENERATOR),
+                        ObservationModel.from_assignment(("a", "a", "a", "a", "b", "b")))
+    prob = StoppingProblem(g=[1, 3, 0.5, 2, 4, 0.2], l=[0.5, 0.2, 1, 0.3, 0.8, 1.5], alpha=0.5)
+    return model, prob
 
 
 def injective_model():
@@ -200,6 +210,52 @@ class TestBellman:
         op = BellmanOperator(cyclic4, FaceGrid(cyclic4, 8), PROB4)
         beta = contraction_witness(op, RandomSource(50), n_pairs=10)
         assert 0.0 < beta < 1.0
+
+    def test_time_chunk_changes_no_bit(self, cyclic4, monkeypatch):
+        # TIME_CHUNK 1, 7 and K + 1 (the whole mesh in one chunk) against the
+        # default; K + 1 = 646 is a multiple of neither 7 nor TIME_CHUNK, so
+        # the last chunk is short
+        hexa6, prob6 = hexa6_problem()
+
+        def run(model, prob, grid):
+            vf = solve_value(model, prob, grid, tol=1e-6)
+            beta = contraction_witness(vf._operator, RandomSource(55), n_pairs=2)
+            return vf, verify_variational(vf, prob), beta
+
+        for model, prob, grid in ((hexa6, prob6, FaceGrid(hexa6, 8)),
+                                  (cyclic4, PROB4, FaceGrid(cyclic4, 16))):
+            ref = run(model, prob, grid)
+            K = ref[0]._operator.K
+            assert (K + 1) % 7 and (K + 1) % stopping.TIME_CHUNK
+            for chunk in (1, 7, K + 1):
+                monkeypatch.setattr(stopping, "TIME_CHUNK", chunk)
+                vf, report, beta = run(model, prob, grid)
+                assert all(np.array_equal(vf.values[a], ref[0].values[a]) for a in vf.values)
+                for key in ("residual", "iterations", "deltas"):
+                    assert vf.info[key] == ref[0].info[key], (chunk, key)
+                assert report == ref[1], chunk
+                assert beta == ref[2], chunk
+            monkeypatch.undo()
+
+    def test_transient_memory_bounded(self):
+        # the build keeps about 88 MB on hexa6 at grid 16; the chunked time
+        # axis bounds what it and a sweep allocate on top of that
+        model, prob = hexa6_problem()
+        grid = FaceGrid(model, 16)
+        values = psi_values(grid, prob)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            op = BellmanOperator(model, grid, prob)
+            retained, peak = tracemalloc.get_traced_memory()
+            assert retained - base > 64 * 2**20
+            assert peak - retained < 16 * 2**20
+            tracemalloc.reset_peak()
+            op.apply(values)
+            assert tracemalloc.get_traced_memory()[1] - retained < 8 * 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestValueGeneral:
