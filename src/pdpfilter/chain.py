@@ -79,7 +79,8 @@ class RateMatrix:
         return self.entries.shape[0]
 
     def _jump_tables(self):
-        """Per-state cumulative jump probabilities, cached for the sampler."""
+        """Per-state exit rates and cumulative jump probabilities, cached for
+        the sampler as Python lists, which it searches with bisect."""
         tables = self._cache.get("jump")
         if tables is None:
             m = self.entries
@@ -89,7 +90,7 @@ class RateMatrix:
             with np.errstate(invalid="ignore", divide="ignore"):
                 probs = probs / np.where(rates > 0, rates, 1.0)[:, None]
             cum = np.cumsum(probs, axis=1)
-            tables = (rates, cum)
+            tables = (rates.tolist(), cum.tolist())
             self._cache["jump"] = tables
         return tables
 
@@ -244,8 +245,7 @@ def sample_chain(rate: RateMatrix, mu: Distribution, horizon: float, rng: Random
         raise ValueError("horizon must be positive")
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
     rates, cum = rate._jump_tables()
-    initial = int(np.searchsorted(np.cumsum(mu.weights), gen.random(), side="right"))
-    initial = min(initial, rate.n - 1)
+    initial = min(bisect_right(np.cumsum(mu.weights).tolist(), gen.random()), rate.n - 1)
     state = initial
     jumps = []
     t = 0.0
@@ -256,8 +256,7 @@ def sample_chain(rate: RateMatrix, mu: Distribution, horizon: float, rng: Random
         t += gen.exponential(1.0 / lam)
         if t >= horizon:
             break
-        state = int(np.searchsorted(cum[state], gen.random(), side="right"))
-        state = min(state, rate.n - 1)
+        state = min(bisect_right(cum[state], gen.random()), rate.n - 1)
         jumps.append((t, state))
     return PiecewisePath(initial_value=initial, jumps=tuple(jumps), horizon=horizon)
 

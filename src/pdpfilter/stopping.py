@@ -36,9 +36,11 @@ DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical orac
 DEFAULT_TAIL_TOL = 1e-7
 DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)  # continue-to-t branches of the Bellman operator
 REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
-# paths that evaluate_policy_mc filters and scans at once: their scan arrays
-# take about 60 MB on perfbench/models/hexa6.json at horizon 40, against the
-# 88 MB that the Bellman operator of that model keeps at grid 16
+# scan points that first_entries takes of each live trajectory per round
+SCAN_WINDOW = 128
+# paths that evaluate_policy_mc filters and scans at once: their scan takes
+# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 88 MB
+# that the Bellman operator of that model keeps at grid 16
 MC_CHUNK = 64
 # mesh steps that the Bellman operator builds and sweeps at once
 TIME_CHUNK = 32
@@ -510,24 +512,27 @@ class StoppingPolicy:
 
         Each segment [t0, t1] is scanned at its start and, unless its flow is
         frozen (a scalar sub-generator), at ceil((t1 - t0) / scan_step)
-        evenly spaced times after it, the last one at t1; all scan points on
-        one label, of every trajectory, take one propagation and one value
-        interpolation.  Every scan and section time t is evaluated at the
-        offset t - t0, as value_at evaluates it, so
-        should_stop(traj.value_at(tau)) scores the point whose margin ended
-        the search.  A trajectory's first scan point with margin <= 0 ends
-        its scan.  Unless it is a segment start, the scan cell that ends
-        there is cut into REFINE_POINTS equal parts, the first part whose
-        right end has margin <= 0 is cut again, and so on until the part is
-        no wider than time_tol; its right end is returned.  Each round cuts
-        the cells of all trajectories still refining, one propagation per
-        label.  So a result has margin <= 0 and lies within time_tol of a
-        time with margin > 0: it is a first entry up to time_tol, and an
-        entry and exit that both fall between two points of a section are
-        missed.  The margins, the propagation and the interpolation work row
-        by row, so a trajectory's result does not depend on its batch.
-        Raises FaceMassVanished where x_A e^{t Lambda_A} underflows at a scan
-        point of some trajectory before its entry.
+        evenly spaced times after it, the last one at t1.  The scan goes in
+        rounds: each takes the next SCAN_WINDOW scan points of every
+        trajectory still in the scan, and all of them on one label take one
+        propagation and one value interpolation.  A trajectory leaves the
+        scan at its first scan point with margin <= 0 (its entry) or without
+        flow mass, or when its points run out, so no point after an entry is
+        scanned.  Every scan and section time t is evaluated at the offset
+        t - t0, as value_at evaluates it, so should_stop(traj.value_at(tau))
+        scores the point whose margin ended the search.  Unless the entry is
+        a segment start, the scan cell that ends there is cut into
+        REFINE_POINTS equal parts, the first part whose right end has
+        margin <= 0 is cut again, and so on until the part is no wider than
+        time_tol; its right end is returned.  Each refinement round cuts the
+        cells of all trajectories still refining, one propagation per label.
+        So a result has margin <= 0 and lies within time_tol of a time with
+        margin > 0: it is a first entry up to time_tol, and an entry and exit
+        that both fall between two points of a section are missed.  The
+        margins, the propagation and the interpolation work row by row, so a
+        trajectory's result depends neither on its batch nor on SCAN_WINDOW.
+        Raises FaceMassVanished, for the first such trajectory of the batch,
+        where x_A e^{t Lambda_A} underflows at a scan point before the entry.
         """
         if not trajs:
             return []
@@ -541,37 +546,61 @@ class StoppingPolicy:
         counts = np.array([[len(tab[3][a]) for a in labels] for tab in tables])
         offset = np.cumsum(counts, axis=0) - counts
         local = np.concatenate([tab[4] + offset[p][tab[2]] for p, tab in enumerate(tables)])
-        owner = np.repeat(np.arange(len(tables)), [len(tab[0]) for tab in tables])
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
         n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
-        # np.linspace(t0, t1, n_scan + 1) of every segment, flattened
-        seg, j = _ragged(n_scan + 1)
-        times = t0[seg] + j * (length / np.maximum(n_scan, 1))[seg]
-        last = (j == n_scan[seg]) & (j > 0)
-        times[last] = t1[seg[last]]
-        margins = np.empty(len(seg))
-        for i, a in enumerate(labels):
-            on = ids[seg] == i
-            if on.any():
-                margins[on] = self._flow_margins(a, starts[a][local[seg[on]]],
-                                                 times[on] - t0[seg[on]])
-        # each trajectory's first scan point with margin <= 0, and with no mass
-        end = len(margins)
-        first, lost = np.full(len(trajs), end), np.full(len(trajs), end)
-        for out, flags in ((first, margins <= 0.0), (lost, np.isnan(margins))):
-            at = np.flatnonzero(flags)
-            np.minimum.at(out, owner[seg[at]], at)
-        gone = np.flatnonzero(lost < first)
+        step = length / np.maximum(n_scan, 1)
+        # the scan points of all trajectories numbered in one sequence, segment
+        # after segment: each segment's first number, and each trajectory's range
+        bounds = np.concatenate([[0], np.cumsum(n_scan + 1)])
+        head = bounds[:-1]
+        n_segs = np.array([len(tab[0]) for tab in tables])
+        pos, end = bounds[np.cumsum(n_segs) - n_segs], bounds[np.cumsum(n_segs)]
+
+        def scan_points(p):
+            """Segment, index in it and time of the scan points numbered p:
+            np.linspace(t0, t1, n_scan + 1) of each segment."""
+            k = np.searchsorted(head, p, side="right") - 1
+            j = p - head[k]
+            t = t0[k] + j * step[k]
+            last = (j == n_scan[k]) & (j > 0)
+            t[last] = t1[k[last]]
+            return k, j, t
+
+        # the scan point where each trajectory leaves the scan, and whether it
+        # has no mass there
+        leave, lost = np.full(len(trajs), -1), np.zeros(len(trajs), dtype=bool)
+        live = np.arange(len(trajs))
+        window = np.arange(SCAN_WINDOW)
+        while live.size:
+            p = pos[live, None] + window
+            valid = p < end[live, None]
+            k, _, t = scan_points(p[valid])
+            m = np.empty(len(k))
+            for i, a in enumerate(labels):
+                on = ids[k] == i
+                if on.any():
+                    m[on] = self._flow_margins(a, starts[a][local[k[on]]], t[on] - t0[k[on]])
+            margins = np.full(p.shape, np.inf)
+            margins[valid] = m
+            halt = ~(margins > 0.0)  # margin <= 0, or NaN where the flow has no mass
+            halted = halt.any(axis=1)
+            hit = np.flatnonzero(halted)
+            i = np.argmax(halt[hit], axis=1)
+            leave[live[hit]] = p[hit, i]
+            lost[live[hit]] = np.isnan(margins[hit, i])
+            pos[live] += SCAN_WINDOW
+            live = live[~halted & (pos[live] < end[live])]
+        gone = np.flatnonzero(lost)
         if gone.size:
-            at = lost[gone[0]]
-            raise FaceMassVanished(f"flow mass 0 on face {labels[ids[seg[at]]]!r} "
-                                   f"at t={times[at]}")
+            k, _, t = scan_points(leave[gone[:1]])
+            raise FaceMassVanished(f"flow mass 0 on face {labels[ids[k[0]]]!r} "
+                                   f"at t={t[0]}")
         tau = np.full(len(trajs), math.inf)
-        found = np.flatnonzero(first < end)
-        at = first[found]
-        k = seg[at]
-        lo, hi = times[np.where(j[at] > 0, at - 1, at)], times[at]
+        found = np.flatnonzero(leave >= 0)
+        at = leave[found]
+        k, j, hi = scan_points(at)
+        lo = scan_points(np.where(j > 0, at - 1, at))[2]
         width = np.full(len(found), math.inf)
         cut = np.arange(1, REFINE_POINTS)
         while True:

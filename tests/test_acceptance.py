@@ -124,15 +124,19 @@ def test_criterion_3_filtering_identity(cyclic4):
     pi = np.empty((n, 3, 4))
     t1 = np.empty(n)
     y0_is_1 = np.empty(n)
-    for r in range(n):
-        path = sample_chain(cyclic4.rate, mu, 2.0, gen)
-        y = observe(path, cyclic4.obs)
-        traj = cyclic4.run_filter(y, mu)
-        t1[r] = y.jump_times[0] if y.jump_times else math.inf
-        y0_is_1[r] = 1.0 if y.initial_value == "1" else 0.0
-        for k, t in enumerate(t_checks):
-            x_ind[r, k] = np.eye(4)[path.value_at(t)]
-            pi[r, k] = traj.value_at(t).weights
+    # paths drawn from gen in order, filtered a chunk at a time: run_filter_batch
+    # gives each path the bits of run_filter
+    chunk = 1000
+    for first in range(0, n, chunk):
+        paths = [sample_chain(cyclic4.rate, mu, 2.0, gen) for _ in range(chunk)]
+        ys = [observe(path, cyclic4.obs) for path in paths]
+        trajs = cyclic4.run_filter_batch(ys, mu)
+        for r, path, y, traj in zip(range(first, first + chunk), paths, ys, trajs):
+            t1[r] = y.jump_times[0] if y.jump_times else math.inf
+            y0_is_1[r] = 1.0 if y.initial_value == "1" else 0.0
+            for k, t in enumerate(t_checks):
+                x_ind[r, k] = np.eye(4)[path.value_at(t)]
+                pi[r, k] = traj.value_at(t).weights
     worst_sigma = 0.0
     for k, t in enumerate(t_checks):
         zs = {

@@ -52,6 +52,12 @@ def hexa6_problem():
     return model, prob
 
 
+@pytest.fixture(scope="module")
+def policy6():
+    model, prob = hexa6_problem()
+    return stopping_rule(solve_value(model, prob, FaceGrid(model, 8), tol=1e-6))
+
+
 def injective_model():
     rate = validate_generator([[-2, 1, 1], [0.5, -1, 0.5], [1, 2, -3]])
     obs = ObservationModel.from_assignment(("L", "M", "H"))
@@ -359,6 +365,64 @@ class TestPolicy:
         monkeypatch.setattr(stopping, "MC_CHUNK", 7)
         for policy, mu, prob, n, rng, pinned in runs:
             assert evaluate_policy_mc(mu, policy, prob, n, 40.0, rng) == pinned
+
+    def test_scan_window_changes_no_bit(self, solved4, policy6, monkeypatch):
+        # SCAN_WINDOW 1, 7 and longer than any trajectory's scan against the
+        # default, on paths that enter in the first window, in a later one
+        # and never
+        mu6 = Distribution(np.full(6, 1.0 / 6))
+        mu4 = Distribution([0.5, 0.1, 0.2, 0.2])
+        batches = []
+        for policy, mu, seed in ((policy6, mu6, 62), (stopping_rule(solved4), mu4, 63)):
+            model = policy.model
+            obs = [observe(sample_chain(model.rate, mu, 40.0, RandomSource(seed, r)), model.obs)
+                   for r in range(24)]
+            batches.append((policy, model.run_filter_batch(obs, mu)))
+        # the face mass underflows at t = 18.2 on `early` and t = 28.7 on
+        # `late`, which has more scan points before it and comes first
+        model3 = underflow_model()
+        mu3 = Distribution([0.5, 0.5, 0.0])
+        early = model3.run_filter(PiecewisePath("a", (), 40.0), mu3)
+        late = model3.run_filter(PiecewisePath("a", ((10.0, "b"), (10.5, "a")), 40.0), mu3)
+        frozen = model3.run_filter(PiecewisePath("b", (), 40.0), Distribution([0, 0, 1.0]))
+        never = underflow_policy(model3, -1.0)
+
+        def run():
+            taus = [policy.first_entries(trajs) for policy, trajs in batches]
+            with pytest.raises(FaceMassVanished) as lost:
+                never.first_entries([frozen, late, early])
+            return taus, str(lost.value)
+
+        ref = run()
+        assert float(ref[1].split("t=")[1]) > 28.0
+        tau6 = np.array(ref[0][0])
+        # some hexa6 paths enter early, some after more than SCAN_WINDOW scan
+        # points and some never
+        assert np.isinf(tau6).any() and (tau6 < 2.5).any() and (tau6 > 4.0).any()
+        assert np.isfinite(ref[0][1]).any()
+        longest = int(40.0 / 0.02) + 3 * max(len(t.segments) for _, trajs in batches
+                                             for t in trajs) + 1
+        assert longest > stopping.SCAN_WINDOW
+        for window in (1, 7, longest):
+            monkeypatch.setattr(stopping, "SCAN_WINDOW", window)
+            assert run() == ref, window
+
+    def test_first_entries_transient_memory_bounded(self, policy6):
+        # the whole-horizon scan took 57 MB on these 64 paths; the windowed
+        # one takes about 4 MB
+        model = policy6.model
+        mu = Distribution(np.full(6, 1.0 / 6))
+        obs = [observe(sample_chain(model.rate, mu, 40.0, RandomSource(7, r)), model.obs)
+               for r in range(64)]
+        trajs = model.run_filter_batch(obs, mu)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            policy6.first_entries(trajs)
+            assert tracemalloc.get_traced_memory()[1] - base < 16 * 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_policy_cost_close_to_value(self, cyclic4, solved4):
         mu = Distribution([0.5, 0.1, 0.2, 0.2])
@@ -668,6 +732,15 @@ def underflow_model():
     return FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
 
 
+def underflow_policy(model, shift):
+    """A policy on underflow_model whose values lie `shift` off the obstacle:
+    below it (shift < 0) it never stops, above it it stops at once."""
+    prob = StoppingProblem(g=[1.0, 2.0, 0.0], l=np.ones(3), alpha=0.5)
+    grid = FaceGrid(model, 4)
+    psi = psi_values(grid, prob)
+    return StoppingPolicy(ValueFunction(grid, {a: v + shift for a, v in psi.items()}, prob), 1e-6)
+
+
 class TestFaceMassUnderflow:
     def make_traj(self):
         model = underflow_model()
@@ -683,11 +756,7 @@ class TestFaceMassUnderflow:
 
     def test_first_entry_raises_when_the_scan_reaches_the_underflow(self):
         traj = self.make_traj()
-        prob = StoppingProblem(g=[1.0, 2.0, 0.0], l=np.ones(3), alpha=0.5)
-        grid = FaceGrid(traj.model, 4)
-        psi = psi_values(grid, prob)
-        never = StoppingPolicy(ValueFunction(grid, {a: v - 1.0 for a, v in psi.items()}, prob),
-                               1e-6)
+        never = underflow_policy(traj.model, -1.0)
         with pytest.raises(FaceMassVanished):
             never.first_entry(traj)
         # in a batch too, behind a trajectory without an underflow
@@ -695,6 +764,5 @@ class TestFaceMassUnderflow:
         with pytest.raises(FaceMassVanished):
             never.first_entries([frozen, traj])
         # an entry before the underflow is still found
-        now = StoppingPolicy(ValueFunction(grid, {a: v + 1.0 for a, v in psi.items()}, prob),
-                             1e-6)
+        now = underflow_policy(traj.model, 1.0)
         assert now.first_entry(traj) == 0.0
