@@ -18,9 +18,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
+import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chain import Distribution, RandomSource, exit_survival_oracle, observe, sample_chain
@@ -192,29 +195,49 @@ def cmd_pdp_check(args) -> int:
 
 def cmd_stop(args) -> int:
     _check_sims_and_horizon(args)
+    if args.grid is not None and args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    if args.tol is not None and not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     out = _out_dir(args)
+    stages = {}
+    clock = time.perf_counter()
+
+    def stage(name):
+        """Wall seconds since the previous stage ended, recorded as `name`."""
+        nonlocal clock
+        now = time.perf_counter()
+        stages[name] = now - clock
+        clock = now
+
     loaded = load_model(args.model)
+    stage("load")
     section = loaded["raw"].get("stopping")
     if not section:
         print("model file has no stopping section", file=sys.stderr)
         return EXIT_INVALID
     model = loaded["model"]
     prob = StoppingProblem(section["g"], section["l"], float(section["alpha"]))
-    resolution = args.grid or int(section.get("grid_resolution", 32))
-    tol = args.tol or float(section.get("tol", 1e-6))
+    resolution = int(section.get("grid_resolution", 32)) if args.grid is None else args.grid
+    tol = float(section.get("tol", 1e-6)) if args.tol is None else args.tol
     grid = FaceGrid(model, resolution)
     try:
         vf = solve_value(model, prob, grid, tol=tol)
     except NoConvergence as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    stage("solve")
     mu = loaded["initial"]
     v_mu = value_general(mu, vf)
+    stage("value_general")
     beta = contraction_witness(vf._operator, RandomSource(args.seed, 900))
+    stage("contraction_witness")
     report = verify_variational(vf, prob)
+    stage("verify_variational")
     policy = stopping_rule(vf)
     mc_mean, mc_stderr = evaluate_policy_mc(mu, policy, prob, args.sims, args.horizon,
                                             RandomSource(args.seed, 901))
+    stage("policy_mc")
     bias_bound = math.exp(-prob.alpha * args.horizon) * (
         float(np.abs(prob.g).max()) + float(np.abs(prob.l).max()) / prob.alpha
     )
@@ -243,7 +266,10 @@ def cmd_stop(args) -> int:
               ["label", "point", "coords", "value", "obstacle", "in_contact_set"], rows)
     deltas = vf.info["deltas"]
     telemetry = {"solver": {"sweep_deltas": deltas,
-                            "delta_ratios": [b / a for a, b in zip(deltas, deltas[1:])]}}
+                            "delta_ratios": [b / a for a, b in zip(deltas, deltas[1:])]},
+                 "stages_s": stages,
+                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                              "python": platform.python_version()}}
     _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]),
                     telemetry)
     return EXIT_OK

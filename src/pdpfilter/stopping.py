@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.sparse import csr_array
 
 from .chain import Distribution, RandomSource, observe, sample_chain
 from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory,
@@ -39,8 +40,9 @@ REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
 # scan points that first_entries takes of each live trajectory per round
 SCAN_WINDOW = 128
 # paths that evaluate_policy_mc filters and scans at once: their scan takes
-# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 88 MB
+# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 78 MB
 # that the Bellman operator of that model keeps at grid 16
+# (tools/solver_memory.py)
 MC_CHUNK = 64
 # mesh steps that the Bellman operator builds and sweeps at once
 TIME_CHUNK = 32
@@ -206,8 +208,13 @@ class BellmanOperator:
     on the chunk.  Retained per label a, at every node (and, for the running
     and jump terms, every midpoint) and grid point: the flowed obstacle,
     running cost and survival mass, and for each other label b the flux
-    into b with the interpolation gather (indices and weights) of its jump
-    target; plus the self-gathers of the flowed points at the branch times.
+    into b; plus, per chunk and mesh, one CSR gather matrix that
+    interpolates v on face b at the jump targets (int32 indices, the
+    interpolation weights as data), and one such matrix per branch time for
+    the flowed points of face a itself.  A sweep gathers every node and
+    midpoint once: each chunk carries into the next the integrand at its
+    last node and at its last midpoint, which only the next chunk's first
+    Simpson interval uses.
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
@@ -225,9 +232,22 @@ class BellmanOperator:
         # mesh steps of the check times (clamped to K), and of every continuation branch
         self.check_ks = sorted({min(int(round(c / dt)), K) for c in DEFAULT_CHECK_TIMES})
         self._branch_ks = sorted(set(self.check_ks) | {K})
+        self._chunks = [(k0, min(k0 + TIME_CHUNK, K + 1)) for k0 in range(0, K + 1, TIME_CHUNK)]
         self.disc = np.exp(-alpha * self.times)
         self.discm = np.exp(-alpha * (self.times[:K] + dt / 2))
         self._pre = {a: self._build(a) for a in model.obs.labels}
+
+    def _gather(self, b, X: np.ndarray):
+        """CSR matrix whose row r interpolates values on face b at the point
+        X[r]: d_b + 1 entries per row, the indices and weights of
+        interpolation_weights in their order, zero weights kept, so that
+        (G @ values[b])[r] sums the products left to right, as
+        (values[b][idx] * wgt).sum(axis=1) does."""
+        idx, wgt = self.grid.interpolation_weights(b, X)
+        rows, c = idx.shape
+        indptr = np.arange(0, rows * c + 1, c, dtype=np.int32)
+        return csr_array((wgt.ravel(), idx.astype(np.int32).ravel(), indptr),
+                         shape=(rows, self.grid.n_points(b)))
 
     def _build(self, a) -> dict:
         """Label a's retained tables, filled chunk by chunk along the flow
@@ -243,19 +263,14 @@ class BellmanOperator:
         g, l = self.prob.g[face], self.prob.l[face]
 
         def series(steps):
-            """Running cost, and (b, flux, idx, wgt) per other label b, at `steps` times."""
-            gathers = []
-            for b in model._others[a]:
-                shape = (steps, n, len(model.faces[b]) + 1)
-                gathers.append((b, np.empty((steps, n)), np.empty(shape, dtype=np.int64),
-                                np.empty(shape)))
-            return np.empty((steps, n)), gathers
+            """Running cost, and (b, flux, gathers per chunk) per other label b,
+            at `steps` times."""
+            return np.empty((steps, n)), [(b, np.empty((steps, n)), []) for b in model._others[a]]
 
         e = {"n": n, "stop": np.empty((K + 1, n)), "mass": np.empty((K + 1, n)),
              "node": series(K + 1), "mid": series(K), "self_gather": {}}
         last = None
-        for k0 in range(0, K + 1, TIME_CHUNK):
-            k1 = min(k0 + TIME_CHUNK, K + 1)
+        for k0, k1 in self._chunks:
             W = np.empty((k1 - k0, n, d))
             W[0] = grid.points[a] if last is None else last @ E
             for i in range(1, k1 - k0):
@@ -269,47 +284,52 @@ class BellmanOperator:
             for rows, X, (run, gathers) in ((slice(k0, k1), W, e["node"]),
                                             (slice(k0, k0 + len(Wm)), Wm, e["mid"])):
                 run[rows] = X @ l
-                for b, flux, idx, wgt in gathers:
+                for b, flux, mats in gathers:
                     T = X @ model._out_rows[a][:, model.faces[b]]
                     Tn, flux[rows] = _restrict(T)
-                    ix, wt = grid.interpolation_weights(b, Tn.reshape(-1, T.shape[-1]))
-                    idx[rows] = ix.reshape(idx[rows].shape)
-                    wgt[rows] = wt.reshape(wgt[rows].shape)
+                    mats.append(self._gather(b, Tn.reshape(-1, T.shape[-1])))
             for k in self._branch_ks:
                 if k0 <= k < k1:
-                    e["self_gather"][k] = grid.interpolation_weights(a, _restrict(W[k - k0])[0])
+                    e["self_gather"][k] = self._gather(a, _restrict(W[k - k0])[0])
         return e
 
-    def _integrand(self, values: dict, series, disc: np.ndarray, rows: slice) -> np.ndarray:
-        """Discounted running-plus-jump integrand at the rows of one mesh
+    def _integrand(self, values: dict, series, disc: np.ndarray, c: int) -> np.ndarray:
+        """Discounted running-plus-jump integrand at chunk c's rows of one mesh
         (the nodes or the midpoints) of a label's series."""
         run, gathers = series
+        k0, k1 = self._chunks[c]
+        rows = slice(k0, min(k1, len(run)))
         jump = np.zeros_like(run[rows])
-        for b, flux, idx, wgt in gathers:
-            jump += flux[rows] * (values[b][idx[rows]] * wgt[rows]).sum(axis=2)
+        for b, flux, mats in gathers:
+            jump += flux[rows] * (mats[c] @ values[b]).reshape(jump.shape)
         return disc[rows, None] * (run[rows] + jump)
 
     def _sweep(self, values: dict, a):
         """One pass over label a's time axis, chunk by chunk: the minimum over
         the stop branches I_k + e^{-alpha t_k} S_k psi(phi_k), and the
         cumulative Simpson integral I_k at the branch times.  Each chunk
-        takes its nodes plus the node before it, whose I starts np.cumsum,
-        so I_k is summed in mesh order whatever the chunk."""
+        gathers its own nodes and midpoints once; the integrand of the node
+        before it and the midpoint after that node are carried over from the
+        chunk before, and I of that node starts np.cumsum, so I_k is summed
+        in mesh order whatever the chunk."""
         e = self._pre[a]
         best = None
         at = {}
         I_prev = np.zeros(e["n"])  # I_0
-        for k0 in range(0, self.K + 1, TIME_CHUNK):
-            k1 = min(k0 + TIME_CHUNK, self.K + 1)
-            lo = max(k0 - 1, 0)
-            q = self._integrand(values, e["node"], self.disc, slice(lo, k1))
-            qm = self._integrand(values, e["mid"], self.discm, slice(lo, k1 - 1))
+        carry = None
+        for c, (k0, k1) in enumerate(self._chunks):
+            q = self._integrand(values, e["node"], self.disc, c)
+            qm = self._integrand(values, e["mid"], self.discm, c)
+            if carry is not None:  # nodes k0 - 1 .. k1 - 1, midpoints from k0 - 1
+                q = np.concatenate([carry[0][None], q])
+                qm = np.concatenate([carry[1][None], qm])
             I = np.empty_like(q)
             I[0] = I_prev
-            I[1:] = (self.dt / 6.0) * (q[:-1] + 4.0 * qm + q[1:])
+            I[1:] = (self.dt / 6.0) * (q[:-1] + 4.0 * qm[: len(q) - 1] + q[1:])
             np.cumsum(I, axis=0, out=I)
-            I = I[k0 - lo:]  # nodes k0 .. k1 - 1
+            I = I[len(I) - (k1 - k0):]  # nodes k0 .. k1 - 1
             I_prev = I[-1]
+            carry = (q[-1], qm[-1])
             low = (I + self.disc[k0:k1, None] * e["stop"][k0:k1]).min(axis=0)
             best = low if best is None else np.minimum(best, low)
             for k in self._branch_ks:
@@ -320,8 +340,7 @@ class BellmanOperator:
     def _continuation(self, I_k: np.ndarray, values: dict, a, k) -> np.ndarray:
         """Continue-to-t_k branch I_k + e^{-alpha t_k} S_k v(phi_k) of label a."""
         e = self._pre[a]
-        idx, wgt = e["self_gather"][k]
-        return I_k + self.disc[k] * e["mass"][k] * (values[a][idx] * wgt).sum(axis=1)
+        return I_k + self.disc[k] * e["mass"][k] * (e["self_gather"][k] @ values[a])
 
     def apply(self, values: dict) -> dict:
         out = {}

@@ -179,6 +179,18 @@ class TestStop:
         assert all(0.0 < r < 1.0 for r in ratios)
         assert "telemetry" not in solution
 
+    def test_manifest_telemetry_has_stage_times_and_versions(self, tmp_path):
+        rc = main(["stop", "--model", CYCLIC4, "--out", str(tmp_path),
+                   "--sims", "20", "--horizon", "20", "--grid", "8"])
+        assert rc == 0
+        telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
+        stages = telemetry["stages_s"]
+        assert set(stages) == {"load", "solve", "value_general", "contraction_witness",
+                               "verify_variational", "policy_mc"}
+        assert all(s >= 0.0 for s in stages.values())
+        assert set(telemetry["versions"]) == {"numpy", "scipy", "python"}
+        assert all(isinstance(v, str) and v for v in telemetry["versions"].values())
+
 
 class TestPdpCheck:
     def test_statistics_pass(self, tmp_path):
@@ -203,6 +215,18 @@ def test_monte_carlo_commands_reject_bad_sims_and_horizon(tmp_path, capsys, comm
     # missing model file would also exit 1, but with another message)
     out = tmp_path / "out"
     rc = main([command, "--model", str(tmp_path / "nope.json"), "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and flag in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "-2"), ("--tol", "0"),
+                                         ("--tol", "-1"), ("--tol", "nan")])
+def test_stop_rejects_bad_grid_and_tol(tmp_path, capsys, flag, value):
+    # as for --sims and --horizon: no fallback to the model's grid or tol
+    out = tmp_path / "out"
+    rc = main(["stop", "--model", str(tmp_path / "nope.json"), "--out", str(out), flag, value])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and flag in err[0], err

@@ -244,8 +244,8 @@ class TestBellman:
             monkeypatch.undo()
 
     def test_transient_memory_bounded(self):
-        # the build keeps about 88 MB on hexa6 at grid 16; the chunked time
-        # axis bounds what it and a sweep allocate on top of that
+        # the build keeps about 78 MB on hexa6 at grid 16 (tools/solver_memory.py);
+        # the chunked time axis bounds what it and a sweep allocate on top of that
         model, prob = hexa6_problem()
         grid = FaceGrid(model, 16)
         values = psi_values(grid, prob)
@@ -262,6 +262,34 @@ class TestBellman:
             assert tracemalloc.get_traced_memory()[1] - retained < 8 * 2**20
         finally:
             tracemalloc.stop()
+
+    def test_gather_matrices_sum_in_vertex_order(self, cyclic4):
+        # every retained gather is a CSR matrix with d_b + 1 in-range entries
+        # per row whose weights sum to 1, and its matvec sums each row's
+        # products left to right, as numpy sums the interpolation products
+        hexa6, prob6 = hexa6_problem()
+        rng = np.random.default_rng(56)
+        for model, prob, m in ((hexa6, prob6, 8), (cyclic4, PROB4, 16)):
+            op = BellmanOperator(model, FaceGrid(model, m), prob)
+            n_checked = 0
+            for a, e in op._pre.items():
+                mats = [(b, G) for _, gathers in (e["node"], e["mid"])
+                        for b, _, chunk in gathers for G in chunk]
+                mats += [(a, G) for G in e["self_gather"].values()]
+                for b, G in mats:
+                    c = len(model.faces[b]) + 1
+                    n_b = op.grid.n_points(b)
+                    assert G.shape[1] == n_b and G.nnz == c * G.shape[0]
+                    assert np.array_equal(G.indptr, np.arange(0, G.nnz + 1, c))
+                    assert G.indices.dtype == np.int32
+                    assert G.indices.min() >= 0 and G.indices.max() < n_b
+                    w = G.data.reshape(-1, c)
+                    assert w.min() >= 0.0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+                    v = rng.uniform(-1, 1, n_b)
+                    want = (v[G.indices.reshape(-1, c)] * w).sum(axis=1)
+                    assert np.array_equal(G @ v, want)
+                    n_checked += 1
+            assert n_checked > 2 * len(op._chunks)
 
 
 class TestValueGeneral:

@@ -11,9 +11,10 @@ PYTHONPATH=SRC and one BLAS thread, so that its ru_maxrss is its own: it loads
 the model, builds the operator, then sweeps value iteration from the obstacle
 until the sup-norm change is below the model's tol, as solve_value does.  One
 row is printed per grid: the face sizes, the grid points per face, the mesh
-steps K + 1, the build seconds, the number of sweeps and their median
-milliseconds, and ru_maxrss in MB after loading, after the build and after
-the sweeps.
+steps K + 1, the build seconds, the MB that the operator retains (the
+nbytes of its tables and of the index, pointer and weight arrays of its
+sparse gathers), the number of sweeps and their median milliseconds, and
+ru_maxrss in MB after loading, after the build and after the sweeps.
 """
 
 from __future__ import annotations
@@ -37,6 +38,20 @@ def maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def retained_bytes(obj) -> int:
+    """nbytes of the numpy arrays in obj, a nest of dicts, lists and tuples,
+    counting a sparse matrix as its data, indices and indptr arrays."""
+    if hasattr(obj, "indptr"):
+        return obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
+    if hasattr(obj, "nbytes"):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(retained_bytes(x) for x in obj)
+    return 0
+
+
 def measure(model_path: str, grid_m: int) -> dict:
     """One grid, in this process: the row that main prints."""
     import numpy as np
@@ -58,6 +73,7 @@ def measure(model_path: str, grid_m: int) -> dict:
     op = stopping.BellmanOperator(model, grid, prob)
     row["build_s"] = time.perf_counter() - t0
     row["rss_build_mb"] = maxrss_mb()
+    row["retained_mb"] = retained_bytes(op._pre) / 2**20
     row["steps"] = op.K + 1
     values = stopping.psi_values(grid, prob)
     sweep_s = []
@@ -95,7 +111,7 @@ def main(argv=None) -> int:
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     print(f"model {args.model}")
     print(f"{'grid':>4s} {'faces':>7s} {'points':>12s} {'steps':>6s} {'build_s':>8s} "
-          f"{'sweeps':>6s} {'sweep_ms':>9s} {'rss_load':>9s} {'rss_build':>10s} "
+          f"{'retained':>9s} {'sweeps':>6s} {'sweep_ms':>9s} {'rss_load':>9s} {'rss_build':>10s} "
           f"{'rss_sweeps':>11s}")
     for m in args.grid:
         cmd = [sys.executable, __file__, str(src), "--measure", "--grid", str(m),
@@ -106,7 +122,7 @@ def main(argv=None) -> int:
             return 1
         r = json.loads(done.stdout.strip().splitlines()[-1])
         print(f"{r['grid']:4d} {r['faces']:>7s} {r['points']:>12s} {r['steps']:6d} "
-              f"{r['build_s']:8.2f} {r['sweeps']:6d} {r['sweep_ms']:9.1f} "
+              f"{r['build_s']:8.2f} {r['retained_mb']:9.1f} {r['sweeps']:6d} {r['sweep_ms']:9.1f} "
               f"{r['rss_load_mb']:9.1f} {r['rss_build_mb']:10.1f} {r['rss_sweeps_mb']:11.1f}",
               flush=True)
     return 0
