@@ -28,6 +28,7 @@ from .filtering import (
     FilterModel,
     FilterTrajectory,
     NegativeFaceMass,
+    PathStack,
 )
 from .pdp import (
     BeliefPdp,

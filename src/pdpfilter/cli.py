@@ -62,18 +62,35 @@ def _file_sha256(path: str):
         return None
 
 
-def _write_manifest(out, command, config, telemetry=None):
-    """manifest.json of a run; telemetry (run health, not replayed) goes here
-    only, so that the other outputs of a replay stay byte-identical."""
+def _write_manifest(out, command, config, stages=None, **telemetry):
+    """manifest.json of a run.  Its telemetry (run health, not replayed: the
+    given keys, the wall seconds of each stage and the numpy, scipy and
+    Python versions) goes here only, so that the other outputs of a replay
+    stay byte-identical."""
     payload = {
         "command": command,
         "config": config,
         "model_sha256": _file_sha256(config["model"]),
         "version": __version__,
     }
-    if telemetry is not None:
-        payload["telemetry"] = telemetry
+    if stages is not None:
+        marks = list(stages.items())
+        seconds = {name: t - prev for (_, prev), (name, t) in zip(marks, marks[1:])}
+        payload["telemetry"] = {**telemetry, "stages_s": seconds,
+                                "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
+                                             "python": platform.python_version()}}
     write_json(os.path.join(out, "manifest.json"), payload)
+
+
+def _load(args):
+    """The output directory, the loaded model file and the stages of the
+    run: the time.perf_counter() at its start and at the end of each stage,
+    in order, the load first."""
+    out = _out_dir(args)
+    stages = {"start": time.perf_counter()}
+    loaded = load_model(args.model)
+    stages["load"] = time.perf_counter()
+    return out, loaded, stages
 
 
 def _config_of(args, keys):
@@ -110,21 +127,23 @@ def _simulate_paths(loaded, args):
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    loaded = load_model(args.model)
+    out, loaded, stages = _load(args)
     chain, obs_path = _simulate_paths(loaded, args)
+    stages["sample"] = time.perf_counter()
     write_csv(os.path.join(out, "chain.csv"), ["time", "value"], path_rows(chain))
     write_csv(os.path.join(out, "observation.csv"), ["time", "value"], path_rows(obs_path))
-    _write_manifest(out, "simulate", _config_of(args, ["seed", "horizon"]))
+    stages["write"] = time.perf_counter()
+    _write_manifest(out, "simulate", _config_of(args, ["seed", "horizon"]), stages)
     return EXIT_OK
 
 
 def cmd_filter(args) -> int:
-    out = _out_dir(args)
-    loaded = load_model(args.model)
+    out, loaded, stages = _load(args)
     model = loaded["model"]
     chain, obs_path = _simulate_paths(loaded, args)
+    stages["sample"] = time.perf_counter()
     traj = model.run_filter(obs_path, loaded["initial"])
+    stages["filter"] = time.perf_counter()
     grid = np.linspace(0.0, args.horizon, 201)
     rows = [
         (t,) + tuple(w) + (label,)
@@ -136,21 +155,19 @@ def cmd_filter(args) -> int:
     write_csv(os.path.join(out, "filter.csv"), header, rows)
     final = traj.value_at(traj.horizon)
     summary = {
-        "n_observation_jumps": len(traj.jumps),
+        "n_observation_jumps": len(traj.jump_times),
         "final_label": str(final.label),
         "final_weights": [float(x) for x in final.weights],
-        "degenerate_restrictions": int(
-            sum(1 for _, fp in traj.segments if fp.degenerate)
-        ),
+        "degenerate_restrictions": int(traj.degenerate.sum()),
     }
     write_json(os.path.join(out, "summary.json"), summary)
-    _write_manifest(out, "filter", _config_of(args, ["seed", "horizon"]))
+    stages["write"] = time.perf_counter()
+    _write_manifest(out, "filter", _config_of(args, ["seed", "horizon"]), stages)
     return EXIT_OK
 
 
 def cmd_exit_time(args) -> int:
-    out = _out_dir(args)
-    loaded = load_model(args.model)
+    out, loaded, stages = _load(args)
     section = loaded["raw"].get("exit_time")
     if not section:
         print("model file has no exit_time section", file=sys.stderr)
@@ -163,12 +180,14 @@ def cmd_exit_time(args) -> int:
     ts = np.arange(0.0, t_max + step / 2, step)
     nonlinear = exit_survival_nonlinear_curve(loaded["rate"], subset, start, ts)
     oracle = np.array([exit_survival_oracle(loaded["rate"], subset, start, t) for t in ts])
+    stages["survival"] = time.perf_counter()
     rows = [
         (t, nl, orc, abs(nl - orc))
         for t, nl, orc in zip(ts, nonlinear, oracle)
     ]
     write_csv(os.path.join(out, "exit_time.csv"), ["t", "nonlinear", "oracle", "abs_diff"], rows)
-    _write_manifest(out, "exit-time", _config_of(args, []))
+    stages["write"] = time.perf_counter()
+    _write_manifest(out, "exit-time", _config_of(args, []), stages)
     return EXIT_OK
 
 
@@ -183,13 +202,14 @@ def _check_sims_and_horizon(args) -> None:
 
 def cmd_pdp_check(args) -> int:
     _check_sims_and_horizon(args)
-    out = _out_dir(args)
-    loaded = load_model(args.model)
+    out, loaded, stages = _load(args)
     stats = pdp_check_statistics(loaded["model"], loaded["initial"], args.sims,
                                  args.horizon, args.seed)
+    stages["statistics"] = time.perf_counter()
     write_json(os.path.join(out, "pdp_check.json"), {"statistics": stats,
                                                      "all_pass": all(s["pass"] for s in stats)})
-    _write_manifest(out, "pdp-check", _config_of(args, ["seed", "horizon", "sims"]))
+    stages["write"] = time.perf_counter()
+    _write_manifest(out, "pdp-check", _config_of(args, ["seed", "horizon", "sims"]), stages)
     return EXIT_OK
 
 
@@ -199,19 +219,7 @@ def cmd_stop(args) -> int:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     if args.tol is not None and not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
-    out = _out_dir(args)
-    stages = {}
-    clock = time.perf_counter()
-
-    def stage(name):
-        """Wall seconds since the previous stage ended, recorded as `name`."""
-        nonlocal clock
-        now = time.perf_counter()
-        stages[name] = now - clock
-        clock = now
-
-    loaded = load_model(args.model)
-    stage("load")
+    out, loaded, stages = _load(args)
     section = loaded["raw"].get("stopping")
     if not section:
         print("model file has no stopping section", file=sys.stderr)
@@ -226,18 +234,18 @@ def cmd_stop(args) -> int:
     except NoConvergence as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    stage("solve")
+    stages["solve"] = time.perf_counter()
     mu = loaded["initial"]
     v_mu = value_general(mu, vf)
-    stage("value_general")
+    stages["value_general"] = time.perf_counter()
     beta = contraction_witness(vf._operator, RandomSource(args.seed, 900))
-    stage("contraction_witness")
+    stages["contraction_witness"] = time.perf_counter()
     report = verify_variational(vf, prob)
-    stage("verify_variational")
+    stages["verify_variational"] = time.perf_counter()
     policy = stopping_rule(vf)
     mc_mean, mc_stderr = evaluate_policy_mc(mu, policy, prob, args.sims, args.horizon,
                                             RandomSource(args.seed, 901))
-    stage("policy_mc")
+    stages["policy_mc"] = time.perf_counter()
     bias_bound = math.exp(-prob.alpha * args.horizon) * (
         float(np.abs(prob.g).max()) + float(np.abs(prob.l).max()) / prob.alpha
     )
@@ -265,19 +273,14 @@ def cmd_stop(args) -> int:
     write_csv(os.path.join(out, "value.csv"),
               ["label", "point", "coords", "value", "obstacle", "in_contact_set"], rows)
     deltas = vf.info["deltas"]
-    telemetry = {"solver": {"sweep_deltas": deltas,
-                            "delta_ratios": [b / a for a, b in zip(deltas, deltas[1:])]},
-                 "stages_s": stages,
-                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
-                              "python": platform.python_version()}}
+    ratios = [b / a for a, b in zip(deltas, deltas[1:])]
     _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]),
-                    telemetry)
+                    stages, solver={"sweep_deltas": deltas, "delta_ratios": ratios})
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
-    out = _out_dir(args)
-    loaded = load_model(args.model)
+    out, loaded, stages = _load(args)
     model = loaded["model"]
     section = loaded["raw"].get("stability")
     if not section:
@@ -288,19 +291,23 @@ def cmd_stability(args) -> int:
     rng = RandomSource(args.seed)
     chain = sample_chain(loaded["rate"], init_a, args.horizon, rng)
     obs_path = observe(chain, loaded["obs"])
+    stages["sample"] = time.perf_counter()
     try:
         traj_a = model.run_filter(obs_path, init_a)
         traj_b = model.run_filter(obs_path, init_b)
     except DegenerateJump as exc:
         print(f"filter degenerate: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    stages["filter"] = time.perf_counter()
     times = sorted(set(np.arange(0.0, args.horizon + 1e-9, 0.05)) | set(traj_a.jump_times))
     rows = [
         (t, float(np.abs(traj_a.value_at(t).weights - traj_b.value_at(t).weights).sum()))
         for t in times
     ]
+    stages["distances"] = time.perf_counter()
     write_csv(os.path.join(out, "stability.csv"), ["t", "l1_distance"], rows)
-    _write_manifest(out, "stability", _config_of(args, ["seed", "horizon"]))
+    stages["write"] = time.perf_counter()
+    _write_manifest(out, "stability", _config_of(args, ["seed", "horizon"]), stages)
     return EXIT_OK
 
 

@@ -18,16 +18,18 @@ Bellman operator (stopping.py): one restriction H_b (_restrict), one kernel
 q(nu, b) = nu Lambda 1_{h^{-1}(b)} / lambda(nu) (FilterModel._jump_law, from
 the face-local fluxes of FilterModel._flux) and one atom pick (_pick).
 
-run_filter is the filter of one observation path and the reference for
-run_filter_batch, which filters many paths one jump at a time across the
-batch.  Every product of a row and a matrix is summed term by term
-(_col_times), never by BLAS, so that each path gets the same bits either way.
+A filter path is stored as arrays (FilterTrajectory).  run_filter fills
+them for one observation path and is the reference for run_filter_batch,
+which fills one array set for many paths, one jump at a time.  PathStack.rows
+is the one evaluator along paths.  Every product of a row and a matrix is
+summed term by term (_col_times), never by BLAS, so that each path gets the
+same bits either way.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -221,11 +223,7 @@ def _pick(q: np.ndarray, u):
     return np.minimum(k, q.shape[-1] - 1 - np.argmax(q[..., ::-1] > 0, axis=-1))
 
 
-class JumpRecord:
-    __slots__ = ("time", "pre", "post")
-
-    def __init__(self, time: float, pre: FacePoint, post: FacePoint):
-        self.time, self.pre, self.post = time, pre, post
+JumpRecord = namedtuple("JumpRecord", "time pre post")
 
 
 class FilterModel:
@@ -355,64 +353,64 @@ class FilterModel:
         the jump denominator, the mass of Pi_{T-} Lambda on h^{-1}(b), is
         <= DEG_TOL (path inconsistent with the model).
         """
-        current = self.restrict_normalize(mu, obs_path.initial_value)
-        segments = [(0.0, current)]
-        jumps = []
-        t_prev = 0.0
-        for tj, b in obs_path.jumps:
-            pre = self.flow(tj - t_prev, current)
-            x, den = _restrict(self._outflow(pre.label, pre.x)[self.faces[b]])
+        points = [self.restrict_normalize(mu, obs_path.initial_value)]
+        pre = []
+        times = [0.0] + list(obs_path.jump_times)
+        for k, (tj, b) in enumerate(obs_path.jumps):
+            pre.append(self.flow(tj - times[k], points[-1]))
+            x, den = _restrict(self._outflow(pre[-1].label, pre[-1].x)[self.faces[b]])
             if den <= DEG_TOL:
                 raise DegenerateJump(tj, float(den))
-            post = FacePoint(self, b, x)
-            jumps.append(JumpRecord(tj, pre, post))
-            segments.append((tj, post))
-            current = post
-            t_prev = tj
-        return FilterTrajectory(self, segments, jumps, obs_path.horizon)
+            points.append(FacePoint(self, b, x))
+        return FilterTrajectory.of_points(self, times, points, pre, obs_path.horizon)
 
     def run_filter_batch(self, obs_paths, mu: Distribution) -> list:
-        """run_filter on each observation path, all paths one jump at a time.
+        """run_filter on each observation path, as slices of one array set.
 
         At the k-th jump of the paths that have one, the paths on each label
         a take one propagation, one _normalize_rows and one product by
-        Lambda[A, :] for the batch, and the paths to each label b one
-        _restrict.  Each of these works row by row, so trajectory i has the
-        bits of run_filter(obs_paths[i], mu): segments, jump records, times
-        and labels.  Raises DegenerateJump (with run_filter's time and
-        denominator) or FaceMassVanished at the first jump index where some
-        path does, as run_filter does on that path.
+        Lambda[A, :], and the paths to each label b one _restrict, each
+        written with one assignment.  These work row by row, so trajectory i
+        has the bits of run_filter(obs_paths[i], mu).  Raises DegenerateJump
+        (with run_filter's time and denominator) or FaceMassVanished at the
+        first jump index where some path does, as run_filter does on it.
         """
         paths = list(obs_paths)
-        start = {a: self.restrict_normalize(mu, a)
-                 for a in dict.fromkeys(y.initial_value for y in paths)}
-        segments = [[(0.0, start[y.initial_value])] for y in paths]
-        jumps = [[] for _ in paths]
-        for k in range(max((len(y.jumps) for y in paths), default=0)):
-            groups = {}
-            for i, y in enumerate(paths):
-                if k < len(y.jumps):
-                    groups.setdefault(segments[i][-1][1].label, []).append(i)
-            for a, idx in groups.items():
-                times = [paths[i].jumps[k][0] for i in idx]
-                dt = np.array(times) - np.array([segments[i][-1][0] for i in idx])
-                X = np.array([segments[i][-1][1].x for i in idx])
-                pre = _normalize_rows(self._sub[a].rows(X, dt), dt)
-                vec = self._outflow(a, pre)
-                targets = [paths[i].jumps[k][1] for i in idx]
-                for b in dict.fromkeys(targets):
-                    sel = np.flatnonzero([c == b for c in targets])
-                    x, den = _restrict(vec[np.ix_(sel, self.faces[b])])
+        labels, faces = self.obs.labels, self.faces
+        n_seg = np.array([len(y.jumps) + 1 for y in paths], dtype=np.int64)
+        first = np.cumsum(n_seg) - n_seg
+        t0 = np.array([t for y in paths for t in (0.0,) + y.jump_times])
+        ids = np.array([labels.index(b) for y in paths
+                        for b in (y.initial_value,) + tuple(c for _, c in y.jumps)])
+        starts, pre = np.zeros((len(t0), self.n)), np.zeros((len(t0), self.n))
+        degenerate = np.zeros(len(t0), dtype=bool)
+        for a in dict.fromkeys(y.initial_value for y in paths):
+            start = self.restrict_normalize(mu, a)
+            rows = first[ids[first] == labels.index(a)]
+            starts[rows[:, None], faces[a]] = start.x
+            degenerate[rows] = start.degenerate
+        for k in range(n_seg.max(initial=1) - 1):
+            src = (first + k)[n_seg > k + 1]
+            for i, a in enumerate(labels):
+                s = src[ids[src] == i]
+                if not s.size:
+                    continue
+                dt = t0[s + 1] - t0[s]
+                X = _normalize_rows(self._sub[a].rows(starts[s[:, None], faces[a]], dt), dt)
+                pre[s[:, None], faces[a]] = X
+                vec = self._outflow(a, X)
+                nxt = ids[s + 1]
+                for j in np.unique(nxt):
+                    to, b = np.flatnonzero(nxt == j), labels[j]
+                    x, den = _restrict(vec[to[:, None], faces[b]])
                     bad = np.flatnonzero(den <= DEG_TOL)
                     if bad.size:
-                        raise DegenerateJump(times[sel[bad[0]]], float(den[bad[0]]))
-                    for s, r in enumerate(sel):
-                        i = idx[r]
-                        post = FacePoint(self, b, x[s])
-                        jumps[i].append(JumpRecord(times[r], FacePoint(self, a, pre[r]), post))
-                        segments[i].append((times[r], post))
-        return [FilterTrajectory(self, seg, jmp, y.horizon)
-                for seg, jmp, y in zip(segments, jumps, paths)]
+                        raise DegenerateJump(float(t0[s[to[bad[0]]] + 1]), float(den[bad[0]]))
+                    starts[s[to, None] + 1, faces[b]] = x
+        ends = (first + n_seg).tolist()
+        return [FilterTrajectory(self, t0[f:g], ids[f:g], starts[f:g], pre[f:g - 1],
+                                 degenerate[f:g], y.horizon)
+                for f, g, y in zip(first.tolist(), ends, paths)]
 
     def discrete_filter(self, mu: Distribution, delta: float, obs_samples) -> list:
         """Discrete-time approximating filter on the grid k*delta.
@@ -476,40 +474,52 @@ def _rk4_flow_batch(Q: np.ndarray, mask: np.ndarray, Y0: np.ndarray, t: float,
 
 
 class FilterTrajectory:
-    """Piecewise-deterministic filter path: flow segments plus jump records.
+    """One filter path, fixed as a piecewise-deterministic path is: by its
+    jump times and post-jump points, the flow filling in between.
 
-    Evaluation recomputes the closed-form flow from the enclosing segment
-    start, so the object stays small and evaluation is exact.
+    Its state is a few arrays: t0, the segment start times (0, then the
+    jump times); ids, each segment's label index in model.obs.labels;
+    starts and pre, the segment start and pre-jump points as n-vectors,
+    zero off the face; degenerate, whether a start is H_a's uniform
+    fallback.  `segments` and `jumps` are views that build FacePoints.
     """
 
-    def __init__(self, model: FilterModel, segments, jumps, horizon: float):
-        self.model = model
-        self.segments = list(segments)
-        self.jumps = list(jumps)
-        self.horizon = float(horizon)
-        self._starts = [t for t, _ in self.segments]
-        self._table = None
+    def __init__(self, model: FilterModel, t0, ids, starts, pre, degenerate, horizon: float):
+        self.model, self.horizon = model, float(horizon)
+        self.t0, self.ids, self.starts = t0, ids, starts
+        self.pre, self.degenerate = pre, degenerate
 
-    def _segment_table(self):
-        """Start times, end times and label indices of the segments; per
-        label the face rows of its segment starts, and each segment's row
-        among them.  Built on first use and kept."""
-        if self._table is None:
-            labels = self.model.obs.labels
-            t0, starts = np.array(self._starts), {}
-            ids = np.array([labels.index(fp.label) for _, fp in self.segments])
-            local = np.empty(len(ids), dtype=np.int64)
-            for i, a in enumerate(labels):
-                mine = np.flatnonzero(ids == i)
-                local[mine] = np.arange(len(mine))
-                starts[a] = np.array([self.segments[k][1].x for k in mine]).reshape(
-                    -1, len(self.model.faces[a]))
-            self._table = t0, np.append(t0[1:], self.horizon), ids, starts, local
-        return self._table
+    @classmethod
+    def of_points(cls, model: FilterModel, times, points, pre, horizon: float):
+        """The trajectory of FacePoints: segment starts at `times`, pre-jump points."""
+        labels = model.obs.labels
+        return cls(model, np.array(times, dtype=float),
+                   np.array([labels.index(p.label) for p in points]),
+                   np.array([p.weights for p in points]),
+                   np.array([p.weights for p in pre]).reshape(-1, model.n),
+                   np.array([p.degenerate for p in points]), horizon)
+
+    def _point(self, rows, k, degenerate=False) -> FacePoint:
+        """Row k of `rows` (starts or pre) as a FacePoint of segment k's label."""
+        a = self.model.obs.labels[self.ids[k]]
+        return FacePoint(self.model, a, rows[k, self.model.faces[a]], bool(degenerate))
+
+    @property
+    def segments(self) -> list:
+        """(start time, start FacePoint) of each segment."""
+        return [(t, self._point(self.starts, k, self.degenerate[k]))
+                for k, t in enumerate(self.t0.tolist())]
+
+    @property
+    def jumps(self) -> list:
+        """A JumpRecord (time, pre-jump and post-jump FacePoint) per jump."""
+        return [JumpRecord(t, self._point(self.pre, k),
+                           self._point(self.starts, k + 1, self.degenerate[k + 1]))
+                for k, t in enumerate(self.jump_times)]
 
     @property
     def jump_times(self):
-        return [j.time for j in self.jumps]
+        return self.t0[1:].tolist()
 
     def value_at(self, t: float) -> FacePoint:
         """model.flow(t - t0, nu) from the start (t0, nu) of the segment that
@@ -517,33 +527,56 @@ class FilterTrajectory:
         policy scan takes its offsets so, and scores this very point."""
         if t < 0 or t > self.horizon:
             raise ValueError("time outside [0, horizon]")
-        k = bisect_right(self._starts, t) - 1
-        t0, fp = self.segments[k]
-        return self.model.flow(t - t0, fp)
+        k = int(np.searchsorted(self.t0, t, side="right")) - 1
+        return self.model.flow(t - float(self.t0[k]), self._point(self.starts, k))
 
     def left_limit_at(self, t: float) -> FacePoint:
         """Pre-jump value at t (equals value_at(t) off jump times)."""
-        for j in self.jumps:
-            if j.time == t:
-                return j.pre
-        return self.value_at(t)
+        k = np.flatnonzero(self.t0[1:] == t)
+        return self._point(self.pre, k[0]) if k.size else self.value_at(t)
 
     def to_rows(self, grid) -> list:
-        """Rows (time, weights..., label) on the user grid plus pre/post jump rows."""
-        jump_set = {j.time for j in self.jumps}
-        events = []
-        for t in grid:
-            if 0 <= t <= self.horizon and float(t) not in jump_set:
-                events.append((float(t), None))
-        for j in self.jumps:
-            events.append((j.time, j))
-        events.sort(key=lambda e: (e[0], e[1] is not None))
+        """Rows (time, weights, label) on the user grid, and the pre-jump and
+        post-jump rows at each jump time, in time order."""
+        labels, jumps = self.model.obs.labels, self.jump_times
         rows = []
-        for t, j in events:
-            if j is None:
+        for t in map(float, grid):
+            if 0 <= t <= self.horizon and t not in jumps:
                 fp = self.value_at(t)
                 rows.append((t, fp.weights, fp.label))
-            else:
-                rows.append((t, j.pre.weights, j.pre.label))
-                rows.append((t, j.post.weights, j.post.label))
-        return rows
+        for k, t in enumerate(jumps):
+            rows.append((t, self.pre[k], labels[self.ids[k]]))
+            rows.append((t, self.starts[k + 1], labels[self.ids[k + 1]]))
+        return sorted(rows, key=lambda row: row[0])
+
+
+class PathStack:
+    """Filter trajectories of one model as one array set, one np.concatenate
+    per array: per segment its start time t0, label index, start row and
+    end time t1 (the next start, or the horizon); trajectory p owns the
+    segments first[p] to first[p + 1] - 1.  `rows` is the one evaluator
+    along filter paths: the policy scan, its refinement and
+    cost_along_filter call it.
+    """
+
+    def __init__(self, trajs):
+        self.model = trajs[0].model
+        self.t0, self.ids, self.starts = (np.concatenate([getattr(tr, name) for tr in trajs])
+                                          for name in ("t0", "ids", "starts"))
+        self.first = np.cumsum([0] + [len(tr.t0) for tr in trajs])
+        self.t1 = np.append(self.t0[1:], 0.0)
+        self.t1[self.first[1:] - 1] = [tr.horizon for tr in trajs]
+
+    def rows(self, seg, dt):
+        """The rows x e^{dt Lambda_A} for the (segment, offset) pairs
+        (seg, dt), x the segment's start on its face A, with one
+        _SubExp.rows call per label.  Yields (label, the positions of its
+        pairs, their face rows); a row has the bits it has alone."""
+        model = self.model
+        ids = self.ids[seg]
+        for i, a in enumerate(model.obs.labels):
+            on = np.flatnonzero(ids == i)
+            if on.size:
+                # row-major, as _SubExp.rows is batch-invariant on such rows
+                x = self.starts.take(seg[on], axis=0).take(model.faces[a], axis=1)
+                yield a, on, model._sub[a].rows(x, dt[on])

@@ -42,7 +42,6 @@ from .filtering import (
     FacePoint,
     FilterModel,
     FilterTrajectory,
-    JumpRecord,
     _normalize_rows,
     _pick,
 )
@@ -189,22 +188,17 @@ class BeliefPdp:
             raise ValueError("horizon must be positive")
         gen = rng.generator() if isinstance(rng, RandomSource) else rng
         model = self.model
-        current = nu0
-        t = 0.0
-        segments = [(0.0, current)]
-        jumps = []
+        times, points, pre = [0.0], [nu0], []
         while True:
-            s = self.sojourn_from_uniform(current, gen.random(), horizon - t)
+            s = self.sojourn_from_uniform(points[-1], gen.random(), horizon - times[-1])
             if s is None:
                 break
-            t += s
-            pre = model.flow(s, current)
-            vec, _, q = model._jump_law(pre.label, pre.x)
-            post = model.restrict_normalize(vec, model._others[pre.label][_pick(q, gen.random())])
-            jumps.append(JumpRecord(t, pre, post))
-            segments.append((t, post))
-            current = post
-        return FilterTrajectory(model, segments, jumps, horizon)
+            pre.append(model.flow(s, points[-1]))
+            vec, _, q = model._jump_law(pre[-1].label, pre[-1].x)
+            b = model._others[pre[-1].label][_pick(q, gen.random())]
+            times.append(times[-1] + s)
+            points.append(model.restrict_normalize(vec, b))
+        return FilterTrajectory.of_points(model, times, points, pre, horizon)
 
     def first_jumps(self, nu: FacePoint, horizon: float, rngs):
         """First jump of simulate_pdp(nu, horizon, rng) for each rng, and nothing after it.
@@ -213,9 +207,10 @@ class BeliefPdp:
         ones simulate_pdp spends on its first jump: the sojourn uniform, then
         the target uniform.  The sojourns are inverted in one batch, and the
         targets are picked with simulate_pdp's _jump_law and _pick at
-        model.flow's pre-jump points, as rows of a batch (X Lambda[A, :] is a
-        BLAS product: a row may round unlike the row alone).  Returns the jump
-        times (inf where censored) and an object array of target labels.
+        model.flow's pre-jump points, as rows of a batch (_jump_law sums
+        X Lambda[A, :] term by term, so a row has the bits it has alone).
+        Returns the jump times (inf where censored) and an object array of
+        target labels.
         """
         model = self.model
         us = np.array([rng.generator().random(2) for rng in rngs]).reshape(-1, 2)
@@ -284,6 +279,12 @@ def exit_survival_nonlinear(rate: RateMatrix, subset, i: int, t: float, **kw) ->
     return float(exit_survival_nonlinear_curve(rate, subset, i, [t], **kw)[0])
 
 
+def _statistic(name: str, empirical: float, analytic: float, stderr: float, passed) -> dict:
+    """One row of pdp_check_statistics."""
+    return {"statistic": name, "empirical": empirical, "analytic": analytic,
+            "stderr": stderr, "pass": bool(passed)}
+
+
 def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, horizon: float,
                          seed: int) -> list:
     """Law checks for the first PDP jump: chain-driven vs analytic vs direct PDP.
@@ -322,23 +323,12 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
     surv_pdp = empirical_survival(pdp_times)
     # DKW-style pass threshold; at n = 1e5 this is below the 0.01 of the spec
     dkw = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n_sims))
-    stats = []
     dev_chain = float(np.abs(surv_chain - analytic).max())
-    stats.append({
-        "statistic": "first_jump_survival_chain_vs_analytic_sup_dev",
-        "empirical": dev_chain,
-        "analytic": 0.0,
-        "stderr": dkw / 4.0,
-        "pass": bool(dev_chain < dkw),
-    })
     dev_cross = float(np.abs(surv_chain - surv_pdp).max())
-    stats.append({
-        "statistic": "first_jump_survival_pdp_vs_chain_sup_dev",
-        "empirical": dev_cross,
-        "analytic": 0.0,
-        "stderr": dkw / 4.0,
-        "pass": bool(dev_cross < 2.0 * dkw),
-    })
+    stats = [_statistic("first_jump_survival_chain_vs_analytic_sup_dev", dev_chain, 0.0,
+                        dkw / 4.0, dev_chain < dkw),
+             _statistic("first_jump_survival_pdp_vs_chain_sup_dev", dev_cross, 0.0,
+                        dkw / 4.0, dev_cross < 2.0 * dkw)]
     # target-label frequencies binned by pre-jump position (equivalently by T_1)
     others = model._others[a0]
     jumped = chain_times < math.inf
@@ -363,13 +353,8 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
                 freq = float(hit[sel].mean())
                 expected = float(qvals[b][sel].mean())
                 se = math.sqrt(max(expected * (1 - expected), 1e-12) / n_bin)
-                stats.append({
-                    "statistic": f"first_jump_target_{b}_bin{k}_chain_vs_q",
-                    "empirical": freq,
-                    "analytic": expected,
-                    "stderr": se,
-                    "pass": bool(abs(freq - expected) <= 4.0 * se + 1e-9),
-                })
+                stats.append(_statistic(f"first_jump_target_{b}_bin{k}_chain_vs_q", freq,
+                                        expected, se, abs(freq - expected) <= 4.0 * se + 1e-9))
         # cross-check of overall target frequencies, chain vs direct PDP
         for b in others:
             p1 = float(np.mean(hits == b))
@@ -378,11 +363,6 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
                 max(p1 * (1 - p1), 1e-12) / hits.size
                 + max(p2 * (1 - p2), 1e-12) / max(pdp_hits.size, 1)
             )
-            stats.append({
-                "statistic": f"first_jump_target_{b}_pdp_vs_chain",
-                "empirical": p2,
-                "analytic": p1,
-                "stderr": se,
-                "pass": bool(abs(p1 - p2) <= 4.0 * se + 1e-9),
-            })
+            stats.append(_statistic(f"first_jump_target_{b}_pdp_vs_chain", p2, p1, se,
+                                    abs(p1 - p2) <= 4.0 * se + 1e-9))
     return stats

@@ -30,7 +30,7 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 
 from .chain import Distribution, RandomSource, observe, sample_chain
-from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory,
+from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory, PathStack,
                         _normalize_rows, _restrict)
 
 DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
@@ -442,8 +442,9 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
         fp = traj.value_at(t_end)
         g_term = math.exp(-alpha * tau) * float(fp.x @ prob.g[model.faces[fp.label]])
     nodes, weights = _gauss_nodes()
-    t0, t1, ids, starts, local = traj._segment_table()
-    length = np.minimum(t1, t_end) - t0
+    stack = PathStack([traj])
+    t0 = stack.t0
+    length = np.minimum(stack.t1, t_end) - t0
     n_chunks = np.where(length > 0, np.maximum(1, np.ceil(length / 2.0)), 0).astype(np.int64)
     # chunk c of a segment spans [c, c + 1] * length / n_chunks
     seg, c = _ragged(n_chunks)
@@ -454,11 +455,8 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
     wq = (half * weights).ravel()
     seg = np.repeat(seg, len(nodes))
     total = 0.0
-    for i, a in enumerate(model.obs.labels):
-        on = ids[seg] == i
-        if not on.any():
-            continue
-        W = np.clip(model._sub[a].rows(starts[a][local[seg[on]]], ts[on]), 0.0, None)
+    for a, on, W in stack.rows(seg, ts):
+        W = np.clip(W, 0.0, None)
         mass = W.sum(axis=1)
         at = t0[seg[on]] + ts[on]
         vanished = ~(mass > 0)
@@ -513,12 +511,12 @@ class StoppingPolicy:
         g = self.prob.g[self.model.faces[label]]
         return (X * g).sum(axis=1) - self.value.batch(label, X) - self.eps
 
-    def _flow_margins(self, label, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Margins at phi(ts, x) on face `label`, NaN where the flow has no mass."""
-        W = self.model._sub[label].rows(x, ts)
-        ok = W.sum(axis=1) > 0
-        out = np.full(len(W), np.nan)
-        out[ok] = self._margins(label, _normalize_rows(W[ok], ts[ok]))
+    def _flow_margins(self, stack: PathStack, seg: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Margins at the stack's flowed points (seg, dt), NaN where no mass is left."""
+        out = np.full(len(seg), np.nan)
+        for a, on, W in stack.rows(seg, dt):
+            ok = W.sum(axis=1) > 0
+            out[on[ok]] = self._margins(a, _normalize_rows(W[ok], dt[on[ok]]))
         return out
 
     def first_entry(self, traj: FilterTrajectory, time_tol: float = 1e-8,
@@ -529,42 +527,32 @@ class StoppingPolicy:
     def first_entries(self, trajs, time_tol: float = 1e-8, scan_step: float = 0.02) -> list:
         """First entry time into the contact set along each trajectory, or inf.
 
-        Each segment [t0, t1] is scanned at its start and, unless its flow is
-        frozen (a scalar sub-generator), at ceil((t1 - t0) / scan_step)
-        evenly spaced times after it, the last one at t1.  The scan goes in
-        rounds: each takes the next SCAN_WINDOW scan points of every
-        trajectory still in the scan, and all of them on one label take one
-        propagation and one value interpolation.  A trajectory leaves the
-        scan at its first scan point with margin <= 0 (its entry) or without
-        flow mass, or when its points run out, so no point after an entry is
-        scanned.  Every scan and section time t is evaluated at the offset
-        t - t0, as value_at evaluates it, so should_stop(traj.value_at(tau))
-        scores the point whose margin ended the search.  Unless the entry is
-        a segment start, the scan cell that ends there is cut into
-        REFINE_POINTS equal parts, the first part whose right end has
-        margin <= 0 is cut again, and so on until the part is no wider than
-        time_tol; its right end is returned.  Each refinement round cuts the
-        cells of all trajectories still refining, one propagation per label.
-        So a result has margin <= 0 and lies within time_tol of a time with
-        margin > 0: it is a first entry up to time_tol, and an entry and exit
-        that both fall between two points of a section are missed.  The
-        margins, the propagation and the interpolation work row by row, so a
-        trajectory's result depends neither on its batch nor on SCAN_WINDOW.
-        Raises FaceMassVanished, for the first such trajectory of the batch,
-        where x_A e^{t Lambda_A} underflows at a scan point before the entry.
+        The trajectories are stacked in one PathStack and scanned in rounds:
+        each round scores the next SCAN_WINDOW scan points of every
+        trajectory still in the scan with one call of the stack's evaluator.
+        A segment [t0, t1] is scanned at t0 and, unless its flow is frozen
+        (a scalar sub-generator), at ceil((t1 - t0) / scan_step) evenly
+        spaced times after it, the last at t1.  A trajectory leaves the scan
+        at its first point with margin <= 0 (its entry) or without flow
+        mass, or when its points run out.  Unless the entry is a segment
+        start, its scan cell is cut into REFINE_POINTS parts, the first part
+        whose right end has margin <= 0 is cut again, and so on until the
+        part is no wider than time_tol, one evaluator call per round for all
+        trajectories; its right end is returned.  So a result has
+        margin <= 0 and lies within time_tol of a time with margin > 0, and
+        an entry and exit between two points of a section are missed.  A
+        time t is evaluated at the offset t - t0, as value_at evaluates it,
+        so should_stop(traj.value_at(tau)) scores the point that ended the
+        search.  Every step works row by row, so a result depends neither on
+        its batch nor on SCAN_WINDOW.  Raises FaceMassVanished, for the
+        first such trajectory of the batch, where x_A e^{t Lambda_A}
+        underflows at a scan point before the entry.
         """
         if not trajs:
             return []
-        model = self.model
-        labels = model.obs.labels
-        tables = [traj._segment_table() for traj in trajs]
-        t0, t1, ids = (np.concatenate([tab[c] for tab in tables]) for c in range(3))
-        # the segment starts of all trajectories stacked per label, and the row
-        # of each segment there
-        starts = {a: np.concatenate([tab[3][a] for tab in tables]) for a in labels}
-        counts = np.array([[len(tab[3][a]) for a in labels] for tab in tables])
-        offset = np.cumsum(counts, axis=0) - counts
-        local = np.concatenate([tab[4] + offset[p][tab[2]] for p, tab in enumerate(tables)])
+        labels = self.model.obs.labels
+        stack = PathStack(trajs)
+        t0, t1, ids = stack.t0, stack.t1, stack.ids
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
         n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
@@ -573,8 +561,7 @@ class StoppingPolicy:
         # after segment: each segment's first number, and each trajectory's range
         bounds = np.concatenate([[0], np.cumsum(n_scan + 1)])
         head = bounds[:-1]
-        n_segs = np.array([len(tab[0]) for tab in tables])
-        pos, end = bounds[np.cumsum(n_segs) - n_segs], bounds[np.cumsum(n_segs)]
+        pos, end = bounds[stack.first[:-1]], bounds[stack.first[1:]]
 
         def scan_points(p):
             """Segment, index in it and time of the scan points numbered p:
@@ -595,13 +582,8 @@ class StoppingPolicy:
             p = pos[live, None] + window
             valid = p < end[live, None]
             k, _, t = scan_points(p[valid])
-            m = np.empty(len(k))
-            for i, a in enumerate(labels):
-                on = ids[k] == i
-                if on.any():
-                    m[on] = self._flow_margins(a, starts[a][local[k[on]]], t[on] - t0[k[on]])
             margins = np.full(p.shape, np.inf)
-            margins[valid] = m
+            margins[valid] = self._flow_margins(stack, k, t - t0[k])
             halt = ~(margins > 0.0)  # margin <= 0, or NaN where the flow has no mass
             halted = halt.any(axis=1)
             hit = np.flatnonzero(halted)
@@ -630,14 +612,8 @@ class StoppingPolicy:
             width[act] = hi[act] - lo[act]
             # np.linspace(lo, hi, REFINE_POINTS + 1)[1:-1] of every active cell
             ts = lo[act, None] + cut * (width[act] / REFINE_POINTS)[:, None]
-            section = np.empty(ts.shape)
-            for i, a in enumerate(labels):
-                on = ids[k[act]] == i
-                if on.any():
-                    ks = k[act[on]]
-                    section[on] = self._flow_margins(
-                        a, np.repeat(starts[a][local[ks]], len(cut), axis=0),
-                        (ts[on] - t0[ks, None]).ravel()).reshape(-1, len(cut))
+            section = self._flow_margins(stack, np.repeat(k[act], len(cut)),
+                                         (ts - t0[k[act], None]).ravel()).reshape(ts.shape)
             if np.isnan(section).any():
                 r = np.flatnonzero(np.isnan(section).any(axis=1))[0]
                 raise FaceMassVanished(f"flow mass 0 on face {labels[ids[k[act[r]]]]!r} "
@@ -666,8 +642,9 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
 
     Path r is sampled from rng.stream(r) and observed through model.obs.
     The paths are filtered and scanned in chunks of MC_CHUNK: one
-    run_filter_batch and one policy.first_entries(trajs) per chunk, which
-    returns the stopping time of each trajectory (inf for never), then
+    run_filter_batch, which fills one array set for the chunk, and one
+    policy.first_entries(trajs), which scans it through one evaluator and
+    returns the stopping time of each trajectory (inf for never); then
     cost_along_filter per path.  A policy that has only first_entry(traj)
     is run path by path instead, through run_filter.  Both ways give every
     path the bits it has alone, so (mean, stderr) do not depend on the

@@ -16,6 +16,7 @@ from pdpfilter import (
     FaceGrid,
     FilterModel,
     ObservationModel,
+    PathStack,
     PiecewisePath,
     RandomSource,
     StoppingProblem,
@@ -33,7 +34,7 @@ from pdpfilter import (
     verify_variational,
 )
 from pdpfilter.cli import main, run_from_manifest
-from pdpfilter.filtering import _rk4_flow_batch
+from pdpfilter.filtering import _normalize_rows, _rk4_flow_batch
 from pdpfilter.pdp import pdp_check_statistics
 from pdpfilter.stopping import ValueFunction, psi_values
 from conftest import pdp5_model, random_face_point, random_observation, random_rate_matrix
@@ -124,19 +125,28 @@ def test_criterion_3_filtering_identity(cyclic4):
     pi = np.empty((n, 3, 4))
     t1 = np.empty(n)
     y0_is_1 = np.empty(n)
-    # paths drawn from gen in order, filtered a chunk at a time: run_filter_batch
-    # gives each path the bits of run_filter
+    # paths drawn from gen in order, filtered a chunk at a time and evaluated
+    # at t_checks by one call of the path evaluator per chunk, from the
+    # segment that holds each time: each path gets the bits of run_filter
+    # and value_at
     chunk = 1000
+    at = np.tile(t_checks, chunk)
     for first in range(0, n, chunk):
         paths = [sample_chain(cyclic4.rate, mu, 2.0, gen) for _ in range(chunk)]
         ys = [observe(path, cyclic4.obs) for path in paths]
         trajs = cyclic4.run_filter_batch(ys, mu)
-        for r, path, y, traj in zip(range(first, first + chunk), paths, ys, trajs):
+        stack = PathStack(trajs)
+        seg = np.concatenate([f + traj.t0.searchsorted(t_checks, "right") - 1
+                              for f, traj in zip(stack.first, trajs)])
+        dt = at - stack.t0[seg]
+        points = np.zeros((len(seg), 4))
+        for a, on, W in stack.rows(seg, dt):
+            points[on[:, None], cyclic4.faces[a]] = _normalize_rows(W, dt[on])
+        pi[first:first + chunk] = points.reshape(chunk, len(t_checks), 4)
+        for r, path, y in zip(range(first, first + chunk), paths, ys):
             t1[r] = y.jump_times[0] if y.jump_times else math.inf
             y0_is_1[r] = 1.0 if y.initial_value == "1" else 0.0
-            for k, t in enumerate(t_checks):
-                x_ind[r, k] = np.eye(4)[path.value_at(t)]
-                pi[r, k] = traj.value_at(t).weights
+            x_ind[r] = np.eye(4)[[path.value_at(t) for t in t_checks]]
     worst_sigma = 0.0
     for k, t in enumerate(t_checks):
         zs = {

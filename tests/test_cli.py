@@ -192,6 +192,23 @@ class TestStop:
         assert all(isinstance(v, str) and v for v in telemetry["versions"].values())
 
 
+@pytest.mark.parametrize("command, flags, names", [
+    ("simulate", [], {"load", "sample", "write"}),
+    ("filter", [], {"load", "sample", "filter", "write"}),
+    ("exit-time", [], {"load", "survival", "write"}),
+    ("pdp-check", ["--sims", "50", "--horizon", "4"], {"load", "statistics", "write"}),
+    ("stability", [], {"load", "sample", "filter", "distances", "write"}),
+])
+def test_manifest_telemetry_has_stage_times_per_command(tmp_path, command, flags, names):
+    rc = main([command, "--model", CYCLIC4, "--out", str(tmp_path), "--seed", "2"] + flags)
+    assert rc == 0
+    telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
+    assert set(telemetry) == {"stages_s", "versions"}
+    assert set(telemetry["stages_s"]) == names
+    assert all(s >= 0.0 for s in telemetry["stages_s"].values())
+    assert set(telemetry["versions"]) == {"numpy", "scipy", "python"}
+
+
 class TestPdpCheck:
     def test_statistics_pass(self, tmp_path):
         rc = main(["pdp-check", "--model", CYCLIC4, "--out", str(tmp_path),

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdpfilter import (
+    BeliefPdp,
     Distribution,
     FaceGrid,
     FaceMassVanished,
     FilterModel,
+    FilterTrajectory,
     NoConvergence,
     ObservationModel,
     PiecewisePath,
@@ -751,6 +753,51 @@ def test_batched_cost_matches_per_chunk_reference():
         for tau in taus:
             got = cost_along_filter(traj, tau, prob)
             assert abs(got - reference_cost(traj, tau, prob)) <= 1e-12, (tau, got)
+
+
+def test_store_is_one_across_its_producers(policy6):
+    # trajectories from run_filter, from slices of run_filter_batch and from
+    # simulate_pdp, mixed in one batch, get from the one evaluator the bits
+    # they get alone; the views round-trip the stored rows
+    model, prob = policy6.model, policy6.prob
+    mu = Distribution([0, 0, 0, 0, 0.5, 0.5])  # H_a[mu] is the uniform fallback
+    ys = [observe(sample_chain(model.rate, Distribution(np.full(6, 1 / 6)), 12.0,
+                               RandomSource(71, r)), model.obs) for r in range(8)]
+    ys.append(PiecewisePath("a", (), 5.0))
+    sliced = model.run_filter_batch(ys, mu)
+    alone = [model.run_filter(y, mu) for y in ys]
+    pdp = BeliefPdp(model)
+    simulated = [pdp.simulate_pdp(model.restrict_normalize(mu, a), 12.0, RandomSource(72, i))
+                 for i, a in enumerate("abab")]
+    # and a path made by hand whose post-jump point is H_b's uniform fallback
+    start = model.restrict_normalize(np.full(6, 1 / 6), "a")
+    made = FilterTrajectory.of_points(model, [0.0, 1.5], [start, model.restrict_normalize(
+        start.weights, "b")], [model.flow(1.5, start)], 4.0)
+    mixed = sliced[:4] + simulated[:2] + [made] + alone[4:] + simulated[2:]
+    assert simulated[0].segments[0][1].degenerate and sliced[-1].segments[0][1].degenerate
+    assert made.jumps[0].post.degenerate
+
+    taus = policy6.first_entries(mixed)
+    assert taus == [policy6.first_entries([traj])[0] for traj in mixed]
+    assert policy6.first_entries(sliced) == policy6.first_entries(alone)
+    assert any(math.isinf(t) for t in taus) and any(t < math.inf for t in taus)
+
+    for traj, tau in zip(mixed, taus):
+        # rebuilt from its FacePoint views, the trajectory has the same arrays
+        twin = FilterTrajectory.of_points(model, [t for t, _ in traj.segments],
+                                          [fp for _, fp in traj.segments],
+                                          [j.pre for j in traj.jumps], traj.horizon)
+        for name in ("t0", "ids", "starts", "pre", "degenerate"):
+            assert np.array_equal(getattr(twin, name), getattr(traj, name)), name
+        for k, j in enumerate(traj.jumps):
+            assert j.time == traj.t0[k + 1]
+            assert np.array_equal(traj.left_limit_at(j.time).weights, traj.pre[k])
+            assert np.array_equal(j.post.weights, traj.starts[k + 1])
+            assert j.post.degenerate == traj.degenerate[k + 1]
+        for t in (tau, math.inf):
+            assert cost_along_filter(traj, t, prob) == cost_along_filter(twin, t, prob)
+    for a, b in zip(sliced, alone):
+        assert cost_along_filter(a, math.inf, prob) == cost_along_filter(b, math.inf, prob)
 
 
 def underflow_model():

@@ -39,6 +39,10 @@ RUNS = (
     + [("stop-cyclic4-grid64-seed1", ["stop", "--model", CYCLIC4, "--grid", "64", "--seed", 1])]
     + [(f"filter-cyclic4-seed{s}", ["filter", "--model", CYCLIC4, "--seed", s])
        for s in (1, 2, 3)]
+    # value_at along two trajectories at about 200 times per run
+    + [(f"stability-cyclic4-seed{s}", ["stability", "--model", CYCLIC4, "--seed", s])
+       for s in (1, 2, 3)]
+    + [("simulate-cyclic4-seed1", ["simulate", "--model", CYCLIC4, "--seed", 1])]
 )
 
 
