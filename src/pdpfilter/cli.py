@@ -342,25 +342,25 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="CTMC noise-free filtering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, model=True):
+    def add(name, func, *flags):
+        """A subcommand with --model, --out, --seed and --horizon, and the
+        (flag, type, default) flags that only it reads."""
         p = sub.add_parser(name)
-        if model:
-            p.add_argument("--model", required=True)
+        p.add_argument("--model", required=True)
         p.add_argument("--out", default="pdpfilter_out")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--horizon", type=float, default=10.0)
-        p.add_argument("--sims", type=int, default=10000)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for flag, kind, default in flags:
+            p.add_argument(flag, type=kind, default=default)
         p.set_defaults(func=func)
-        return p
 
+    sims = ("--sims", int, 10000)
     add("validate", cmd_validate)
     add("simulate", cmd_simulate)
     add("filter", cmd_filter)
     add("exit-time", cmd_exit_time)
-    add("pdp-check", cmd_pdp_check)
-    add("stop", cmd_stop)
+    add("pdp-check", cmd_pdp_check, sims)
+    add("stop", cmd_stop, sims, ("--grid", int, None), ("--tol", float, None))
     add("stability", cmd_stability)
     replay = sub.add_parser("replay")
     replay.add_argument("manifest")

@@ -44,8 +44,12 @@ SCAN_WINDOW = 128
 # that the Bellman operator of that model keeps at grid 16
 # (tools/solver_memory.py)
 MC_CHUNK = 64
-# mesh steps that the Bellman operator builds and sweeps at once
-TIME_CHUNK = 32
+# mesh steps (two rows each) that the Bellman operator builds and sweeps at
+# once: on perfbench/models/hexa6.json at grid 16 a chunk's transient arrays
+# take about 5 MB in the build and 1.3 MB in a sweep (tracemalloc)
+TIME_CHUNK = 16
+# nodes and weights of the 16-point Gauss-Legendre rule of cost_along_filter
+GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(16)
 
 
 class NoConvergence(RuntimeError):
@@ -83,7 +87,11 @@ def _compositions(total: int, parts: int):
 
 
 class FaceGrid:
-    """Barycentric grid of resolution m on each face of the effective simplex."""
+    """Barycentric grid of resolution m on each face of the effective simplex.
+
+    The n points of a d-state face are the compositions c of m into d parts,
+    in _compositions order.  With staircase coordinates s_i = sum_{j>=i} c_j,
+    the point c has there the rank n - 1 - sum_{0<i<d} C(s_i + d-1-i, d-i)."""
 
     def __init__(self, model: FilterModel, resolution: int):
         if resolution < 1:
@@ -91,15 +99,13 @@ class FaceGrid:
         self.model = model
         self.m = int(resolution)
         self.points = {}
-        self._codes = {}
+        self._binom = {}
         for a, face in model.faces.items():
             d = len(face)
-            counts = np.array(list(_compositions(self.m, d)), dtype=np.int64)
-            self.points[a] = counts.astype(float) / self.m
-            basis = (self.m + 1) ** np.arange(d, dtype=np.int64)
-            codes = counts @ basis
-            order = np.argsort(codes)
-            self._codes[a] = (codes[order], order, basis)
+            self.points[a] = np.array(list(_compositions(self.m, d)), dtype=float) / self.m
+            # C(s + d-1-i, d-i) for s = 0 .. m + 2; row 0 is zero, as s_0 = m has no term
+            self._binom[a] = np.array([[math.comb(s + d - 1 - i, d - i) if i else 0
+                                        for s in range(self.m + 3)] for i in range(d)])
 
     def n_points(self, a) -> int:
         return len(self.points[a])
@@ -110,16 +116,16 @@ class FaceGrid:
         W: (M, d) rows of face coordinates summing to 1.  Returns index and
         weight arrays of shape (M, d+1); weights are a convex combination,
         exact on lattice points, so interpolated values stay within the
-        corner values of the containing cell.
+        corner values of the containing cell.  The index of a vertex is its
+        rank, and raising s_j by one in a step of the Kuhn walk lowers the
+        rank by one difference of the binomial table; a vertex of zero weight
+        gets index n - 1 (the corner (m, 0, ..., 0)).  Raises RuntimeError for
+        a vertex of positive weight that is not a lattice point.
         """
         m = self.m
         W = np.clip(np.asarray(W, dtype=float), 0.0, None)
         M, d = W.shape
-        sorted_codes, order_perm, basis = self._codes[a]
-        if d == 1:
-            return np.zeros((M, 2), dtype=np.int64), np.column_stack(
-                [np.ones(M), np.zeros(M)]
-            )
+        binom = self._binom[a]
         # cumulative (staircase) coordinates: x_i = m * sum_{j>=i} W_j, nonincreasing
         x = m * np.cumsum(W[:, ::-1], axis=1)[:, ::-1]
         x[:, 0] = m
@@ -133,31 +139,30 @@ class FaceGrid:
         fs = np.take_along_axis(f, order, axis=1)
         wgt = np.empty((M, d + 1))
         wgt[:, 0] = 1.0 - fs[:, 0]
-        if d > 1:
-            wgt[:, 1:d] = fs[:, : d - 1] - fs[:, 1:]
+        wgt[:, 1:d] = fs[:, : d - 1] - fs[:, 1:]
         wgt[:, d] = fs[:, d - 1]
         wgt = np.clip(wgt, 0.0, None)
         wgt /= wgt.sum(axis=1, keepdims=True)
-        idx = np.zeros((M, d + 1), dtype=np.int64)
+        idx = np.empty((M, d + 1), dtype=np.int64)
         z = np.rint(v).astype(np.int64)
+        # z only grows along the walk, so up to a lattice point it stays
+        # within 0 .. m: clipping the lookups at the table's end changes no
+        # rank that is kept
+        n = self.n_points(a)
+        rank = n - 1 - binom[np.arange(d), np.minimum(z, m + 2)].sum(axis=1)
         rows = np.arange(M)
-        counts = np.empty_like(z)
         for k in range(d + 1):
-            counts[:, : d - 1] = z[:, : d - 1] - z[:, 1:]
-            counts[:, d - 1] = z[:, d - 1]
             valid = wgt[:, k] > 1e-12
-            if valid.any() and (counts[valid] < 0).any():
-                raise RuntimeError("interpolation produced an invalid lattice vertex")
-            code = counts @ basis
-            code = np.where(valid, code, sorted_codes[0])
-            pos = np.searchsorted(sorted_codes, code)
-            pos = np.clip(pos, 0, len(sorted_codes) - 1)
-            if not (sorted_codes[pos] == code).all():
+            off = (z[:, :-1] < z[:, 1:]).any(axis=1) | (z[:, 0] != m)
+            if (valid & off).any():
                 raise RuntimeError("interpolation vertex not on the grid")
-            idx[:, k] = order_perm[pos]
+            idx[:, k] = np.where(valid, rank, n - 1)
             wgt[:, k] = np.where(valid, wgt[:, k], 0.0)
             if k < d:
-                z[rows, order[:, k]] += 1
+                j = order[:, k]
+                zj = np.minimum(z[rows, j], m + 1)
+                rank -= binom[j, zj + 1] - binom[j, zj]
+                z[rows, j] += 1
         return idx, wgt
 
 
@@ -200,21 +205,21 @@ class BellmanOperator:
     up to 6.9e-4 on perfbench/models/hexa6.json (not at all where the flows
     are frozen, as on cyclic4), and the continuation inequalities at those
     times then hold up to the residual.  Ties in the minimization go to the
-    smallest t.  Integrals use composite Simpson on the uniform mesh (nodes
-    plus midpoints).
+    smallest t.  Integrals use composite Simpson on the half-step mesh:
+    row 2k is the node t_k = k dt and row 2k + 1 the midpoint t_k + dt/2.
 
-    The time axis is built and swept in chunks of TIME_CHUNK mesh steps, so
-    the transient arrays are those of one chunk; the results do not depend
-    on the chunk.  Retained per label a, at every node (and, for the running
-    and jump terms, every midpoint) and grid point: the flowed obstacle,
-    running cost and survival mass, and for each other label b the flux
-    into b; plus, per chunk and mesh, one CSR gather matrix that
-    interpolates v on face b at the jump targets (int32 indices, the
-    interpolation weights as data), and one such matrix per branch time for
-    the flowed points of face a itself.  A sweep gathers every node and
-    midpoint once: each chunk carries into the next the integrand at its
-    last node and at its last midpoint, which only the next chunk's first
-    Simpson interval uses.
+    The time axis is built and swept in chunks of TIME_CHUNK mesh steps
+    (2 TIME_CHUNK rows), so the transient arrays are those of one chunk; the
+    results do not depend on the chunk.  Retained per label a and grid
+    point: at every row, the flowed running cost and, for each other label
+    b, the flux into b; at every node, the discounted flowed obstacle and
+    survival mass; per chunk and other label b, one CSR gather matrix that
+    interpolates v on face b at the jump targets of the chunk's rows (int32
+    indices, the interpolation weights as data); and one such matrix per
+    branch time for the flowed points of face a itself.  A sweep gathers
+    every row once: each chunk carries into the next the integrand at its
+    last node and midpoint, which only the next chunk's first Simpson
+    interval uses.
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
@@ -233,8 +238,10 @@ class BellmanOperator:
         self.check_ks = sorted({min(int(round(c / dt)), K) for c in DEFAULT_CHECK_TIMES})
         self._branch_ks = sorted(set(self.check_ks) | {K})
         self._chunks = [(k0, min(k0 + TIME_CHUNK, K + 1)) for k0 in range(0, K + 1, TIME_CHUNK)]
-        self.disc = np.exp(-alpha * self.times)
-        self.discm = np.exp(-alpha * (self.times[:K] + dt / 2))
+        # e^{-alpha t} at the 2K + 1 rows of the mesh
+        self.disc = np.empty(2 * K + 1)
+        self.disc[::2] = np.exp(-alpha * self.times)
+        self.disc[1::2] = np.exp(-alpha * (self.times[:K] + dt / 2))
         self._pre = {a: self._build(a) for a in model.obs.labels}
 
     def _gather(self, b, X: np.ndarray):
@@ -250,9 +257,10 @@ class BellmanOperator:
                          shape=(rows, self.grid.n_points(b)))
 
     def _build(self, a) -> dict:
-        """Label a's retained tables, filled chunk by chunk along the flow
-        W_{k+1} = W_k e^{dt Lambda_A} (midpoints W_k e^{dt/2 Lambda_A}), each
-        chunk propagated from the unclipped row before it and then clipped."""
+        """Label a's retained tables, filled chunk by chunk along the flow:
+        node k + 1 is node k times e^{dt Lambda_A} and midpoint k is node k
+        times e^{dt/2 Lambda_A}, both from the unclipped node, and every row
+        is clipped afterwards."""
         model, grid, K = self.model, self.grid, self.K
         face = model.faces[a]
         d = len(face)
@@ -261,93 +269,78 @@ class BellmanOperator:
         E = expm(self.dt * sub)
         Eh = expm(0.5 * self.dt * sub)
         g, l = self.prob.g[face], self.prob.l[face]
-
-        def series(steps):
-            """Running cost, and (b, flux, gathers per chunk) per other label b,
-            at `steps` times."""
-            return np.empty((steps, n)), [(b, np.empty((steps, n)), []) for b in model._others[a]]
-
         e = {"n": n, "stop": np.empty((K + 1, n)), "mass": np.empty((K + 1, n)),
-             "node": series(K + 1), "mid": series(K), "self_gather": {}}
+             "run": np.empty((2 * K + 1, n)), "self_gather": {},
+             # (b, flux into b, gather per chunk) per other label b
+             "jumps": [(b, np.empty((2 * K + 1, n)), []) for b in model._others[a]]}
         last = None
         for k0, k1 in self._chunks:
-            W = np.empty((k1 - k0, n, d))
-            W[0] = grid.points[a] if last is None else last @ E
-            for i in range(1, k1 - k0):
-                W[i] = W[i - 1] @ E
-            Wm = W[: min(k1, K) - k0] @ Eh
-            last = W[-1].copy()
-            np.clip(W, 0.0, None, out=W)
-            np.clip(Wm, 0.0, None, out=Wm)
-            e["stop"][k0:k1] = W @ g
-            e["mass"][k0:k1] = W.sum(axis=2)
-            for rows, X, (run, gathers) in ((slice(k0, k1), W, e["node"]),
-                                            (slice(k0, k0 + len(Wm)), Wm, e["mid"])):
-                run[rows] = X @ l
-                for b, flux, mats in gathers:
-                    T = X @ model._out_rows[a][:, model.faces[b]]
-                    Tn, flux[rows] = _restrict(T)
-                    mats.append(self._gather(b, Tn.reshape(-1, T.shape[-1])))
+            rows = slice(2 * k0, 2 * k1)  # clamped at row 2K in the last chunk
+            disc = self.disc[rows]
+            X = np.empty((len(disc), n, d))
+            X[0] = grid.points[a] if last is None else last @ E
+            for i in range(2, len(X), 2):
+                X[i] = X[i - 2] @ E
+            X[1::2] = X[:-1:2] @ Eh
+            last = X[::2][-1].copy()
+            np.clip(X, 0.0, None, out=X)
+            nodes = X[::2]
+            e["stop"][k0:k1] = disc[::2, None] * (nodes @ g)
+            e["mass"][k0:k1] = disc[::2, None] * nodes.sum(axis=2)
+            e["run"][rows] = X @ l
+            for b, flux, mats in e["jumps"]:
+                T = X @ model._out_rows[a][:, model.faces[b]]
+                Tn, flux[rows] = _restrict(T)
+                mats.append(self._gather(b, Tn.reshape(-1, T.shape[-1])))
             for k in self._branch_ks:
                 if k0 <= k < k1:
-                    e["self_gather"][k] = self._gather(a, _restrict(W[k - k0])[0])
+                    e["self_gather"][k] = self._gather(a, _restrict(nodes[k - k0])[0])
         return e
-
-    def _integrand(self, values: dict, series, disc: np.ndarray, c: int) -> np.ndarray:
-        """Discounted running-plus-jump integrand at chunk c's rows of one mesh
-        (the nodes or the midpoints) of a label's series."""
-        run, gathers = series
-        k0, k1 = self._chunks[c]
-        rows = slice(k0, min(k1, len(run)))
-        jump = np.zeros_like(run[rows])
-        for b, flux, mats in gathers:
-            jump += flux[rows] * (mats[c] @ values[b]).reshape(jump.shape)
-        return disc[rows, None] * (run[rows] + jump)
 
     def _sweep(self, values: dict, a):
         """One pass over label a's time axis, chunk by chunk: the minimum over
-        the stop branches I_k + e^{-alpha t_k} S_k psi(phi_k), and the
-        cumulative Simpson integral I_k at the branch times.  Each chunk
-        gathers its own nodes and midpoints once; the integrand of the node
-        before it and the midpoint after that node are carried over from the
-        chunk before, and I of that node starts np.cumsum, so I_k is summed
-        in mesh order whatever the chunk."""
+        the stop branches I_k + e^{-alpha t_k} S_k psi(phi_k), and a dict
+        from each branch step k to the continue-to-t_k branch
+        I_k + e^{-alpha t_k} S_k v(phi_k), where I_k is the cumulative
+        Simpson integral of the discounted running-plus-jump integrand.  Each
+        chunk gathers its own rows once; the integrand at the node and
+        midpoint before it is carried over from the chunk before, and I of
+        that node starts np.cumsum, so I_k is summed in mesh order whatever
+        the chunk."""
         e = self._pre[a]
         best = None
-        at = {}
+        cont = {}
         I_prev = np.zeros(e["n"])  # I_0
         carry = None
         for c, (k0, k1) in enumerate(self._chunks):
-            q = self._integrand(values, e["node"], self.disc, c)
-            qm = self._integrand(values, e["mid"], self.discm, c)
-            if carry is not None:  # nodes k0 - 1 .. k1 - 1, midpoints from k0 - 1
-                q = np.concatenate([carry[0][None], q])
-                qm = np.concatenate([carry[1][None], qm])
-            I = np.empty_like(q)
+            rows = slice(2 * k0, 2 * k1)
+            jump = np.zeros_like(e["run"][rows])
+            for b, flux, mats in e["jumps"]:
+                jump += flux[rows] * (mats[c] @ values[b]).reshape(jump.shape)
+            q = self.disc[rows, None] * (e["run"][rows] + jump)
+            if carry is not None:  # from node k0 - 1
+                q = np.concatenate([carry, q])
+            I = np.empty(((len(q) + 1) // 2, e["n"]))
             I[0] = I_prev
-            I[1:] = (self.dt / 6.0) * (q[:-1] + 4.0 * qm[: len(q) - 1] + q[1:])
+            s = q[: 2 * len(I) - 1]  # through the last node
+            I[1:] = (self.dt / 6.0) * (s[:-2:2] + 4.0 * s[1::2] + s[2::2])
             np.cumsum(I, axis=0, out=I)
             I = I[len(I) - (k1 - k0):]  # nodes k0 .. k1 - 1
             I_prev = I[-1]
-            carry = (q[-1], qm[-1])
-            low = (I + self.disc[k0:k1, None] * e["stop"][k0:k1]).min(axis=0)
+            carry = q[-2:]
+            low = (I + e["stop"][k0:k1]).min(axis=0)
             best = low if best is None else np.minimum(best, low)
             for k in self._branch_ks:
                 if k0 <= k < k1:
-                    at[k] = I[k - k0]
-        return best, at
-
-    def _continuation(self, I_k: np.ndarray, values: dict, a, k) -> np.ndarray:
-        """Continue-to-t_k branch I_k + e^{-alpha t_k} S_k v(phi_k) of label a."""
-        e = self._pre[a]
-        return I_k + self.disc[k] * e["mass"][k] * (e["self_gather"][k] @ values[a])
+                    cont[k] = I[k - k0] + e["mass"][k] * (e["self_gather"][k] @ values[a])
+        return best, cont
 
     def apply(self, values: dict) -> dict:
         out = {}
         for a in self.model.obs.labels:
-            best, I = self._sweep(values, a)
+            best, cont = self._sweep(values, a)
             for k in self._branch_ks:
-                np.minimum(best, self._continuation(I[k], values, a, k), out=best)
+                np.minimum(best, cont[k], out=best)
             out[a] = best
         return out
 
@@ -356,7 +349,12 @@ def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
                 tol: float = 1e-6, max_iter: int = 10000) -> ValueFunction:
     """Value iteration from the obstacle psi until the sup-norm change < tol.
 
-    info records the sup-norm change of every sweep in "deltas"."""
+    info records the sup-norm change of every sweep in "deltas".  Raises
+    ValueError for a tol that is not positive or a max_iter below 1."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     op = BellmanOperator(model, grid, prob)
     values = psi_values(grid, prob)
     iterations = 0
@@ -441,7 +439,7 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
         t_end = min(tau, traj.horizon)
         fp = traj.value_at(t_end)
         g_term = math.exp(-alpha * tau) * float(fp.x @ prob.g[model.faces[fp.label]])
-    nodes, weights = _gauss_nodes()
+    nodes, weights = GAUSS_LEGENDRE
     stack = PathStack([traj])
     t0 = stack.t0
     length = np.minimum(stack.t1, t_end) - t0
@@ -471,15 +469,6 @@ def _ragged(counts: np.ndarray):
     within the owner."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-_GAUSS = {}
-
-
-def _gauss_nodes(order: int = 16):
-    if order not in _GAUSS:
-        _GAUSS[order] = np.polynomial.legendre.leggauss(order)
-    return _GAUSS[order]
 
 
 class StoppingPolicy:
@@ -692,10 +681,9 @@ def verify_variational(v: ValueFunction, prob: StoppingProblem, tol: float = 5e-
     cont_violation = -math.inf
     checked = [op.times[k] for k in op.check_ks]
     for a in model.obs.labels:
-        I = op._sweep(v.values, a)[1]
+        cont = op._sweep(v.values, a)[1]
         for k in op.check_ks:
-            cont = op._continuation(I[k], v.values, a, k)
-            cont_violation = max(cont_violation, float((v.values[a] - cont).max()))
+            cont_violation = max(cont_violation, float((v.values[a] - cont[k]).max()))
     g_max = float(np.abs(prob.g).max())
     l_max = float(np.abs(prob.l).max())
     truncation_bound = math.exp(-prob.alpha * op.t_max) * (g_max + l_max / prob.alpha)

@@ -8,6 +8,7 @@ from pdpfilter.cli import main, run_from_manifest
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 CYCLIC4 = str(MODELS / "cyclic4.json")
+INJECTIVE = MODELS / "threestate_injective.json"
 
 
 def read_csv(path):
@@ -248,6 +249,32 @@ def test_stop_rejects_bad_grid_and_tol(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and flag in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
+    # the model file's tol meets the check that --tol meets: exit 1 at once,
+    # not 10000 sweeps and exit 2
+    model = json.loads(INJECTIVE.read_text())
+    model["stopping"]["tol"] = tol
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main(["stop", "--model", str(path), "--out", str(tmp_path / "out"),
+               "--sims", "5", "--horizon", "5"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "tol" in err[0], err
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("validate", "simulate", "filter", "exit-time", "stability")
+    for flag in ("--sims", "--grid", "--tol")
+] + [("pdp-check", "--grid"), ("pdp-check", "--tol")])
+def test_flags_only_where_read(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", CYCLIC4, "--out", str(tmp_path), flag, "5"])
+    assert exc.value.code == 2
 
 
 class TestReplay:

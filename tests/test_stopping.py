@@ -60,6 +60,12 @@ def policy6():
     return stopping_rule(solve_value(model, prob, FaceGrid(model, 8), tol=1e-6))
 
 
+def face_model(d):
+    """A frozen chain with a face "a" of d states and a 1-state face "b"."""
+    rate = validate_generator(np.diag([0.0] * (d + 1)))
+    return FilterModel(rate, ObservationModel.from_assignment(("a",) * d + ("b",)))
+
+
 def injective_model():
     rate = validate_generator([[-2, 1, 1], [0.5, -1, 0.5], [1, 2, -3]])
     obs = ObservationModel.from_assignment(("L", "M", "H"))
@@ -96,26 +102,42 @@ class TestFaceGrid:
             assert (pts >= 0).all()
             assert np.abs(pts.sum(axis=1) - 1.0).max() < 1e-15
 
-    def test_interpolation_exact_on_grid(self, cyclic4):
-        grid = FaceGrid(cyclic4, 10)
-        gen = np.random.default_rng(40)
-        vals = {a: gen.normal(size=grid.n_points(a)) for a in ("1", "0")}
-        vf = ValueFunction(grid, vals)
-        for a in ("1", "0"):
-            got = vf.batch(a, grid.points[a])
-            assert np.abs(got - vals[a]).max() < 1e-12
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_interpolation_exact_on_grid(self, d, m):
+        # a grid point is its own first vertex, with weight 1
+        grid = FaceGrid(face_model(d), m)
+        n = grid.n_points("a")
+        idx, wgt = grid.interpolation_weights("a", grid.points["a"])
+        assert np.array_equal(idx[:, 0], np.arange(n))
+        assert (wgt[:, 0] == 1.0).all() and (wgt[:, 1:] == 0.0).all()
+        vals = np.random.default_rng(40).normal(size=n)
+        vf = ValueFunction(grid, {"a": vals, "b": np.zeros(1)})
+        assert np.abs(vf.batch("a", grid.points["a"]) - vals).max() < 1e-12
 
-    def test_interpolation_exact_on_linear_functions(self):
-        # simplicial interpolation reproduces affine functions exactly
-        rate = validate_generator(np.diag([0.0] * 4))
-        obs = ObservationModel.from_assignment(("a", "a", "a", "b"))
-        model = FilterModel(rate, obs)
-        grid = FaceGrid(model, 7)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_interpolation_exact_on_linear_functions(self, d, m):
+        # simplicial interpolation reproduces affine functions exactly, and
+        # the vertices with positive weight reproduce the point itself
+        grid = FaceGrid(face_model(d), m)
         gen = np.random.default_rng(41)
-        c = gen.normal(size=3)
+        c = gen.normal(size=d)
         vf = ValueFunction(grid, {"a": grid.points["a"] @ c, "b": np.zeros(1)})
-        W = gen.dirichlet(np.ones(3), size=200)
+        W = gen.dirichlet(np.ones(d), size=200)
         assert np.abs(vf.batch("a", W) - W @ c).max() < 1e-12
+        idx, wgt = grid.interpolation_weights("a", W)
+        assert wgt.min() >= 0.0 and np.abs(wgt.sum(axis=1) - 1.0).max() < 1e-12
+        pos = wgt > 0
+        assert (idx[pos] >= 0).all() and (idx[pos] < grid.n_points("a")).all()
+        vertices = grid.points["a"][np.where(pos, idx, 0)]
+        assert np.abs((wgt[:, :, None] * vertices).sum(axis=1) - W).max() < 1e-12
+
+    def test_interpolation_raises_off_the_lattice(self):
+        # a row that does not sum to 1 puts a vertex of positive weight off the grid
+        grid = FaceGrid(face_model(2), 4)
+        with pytest.raises(RuntimeError):
+            grid.interpolation_weights("a", np.array([[0.5, 1.5]]))
 
     def test_interpolation_within_corner_bounds(self):
         rate = validate_generator(np.diag([0.0] * 4))
@@ -203,6 +225,12 @@ class TestBellman:
         with pytest.raises(NoConvergence):
             solve_value(cyclic4, PROB4, FaceGrid(cyclic4, 4), tol=1e-12, max_iter=1)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-6}, {"tol": math.nan},
+                                        {"max_iter": 0}])
+    def test_rejects_bad_tol_and_max_iter(self, cyclic4, kwargs):
+        with pytest.raises(ValueError):
+            solve_value(cyclic4, PROB4, FaceGrid(cyclic4, 4), **kwargs)
+
     def test_matches_classical_oracle_when_fully_observed(self):
         # with an injective observation the belief solver must reproduce the
         # classical per-state value iteration (independent code path)
@@ -275,8 +303,7 @@ class TestBellman:
             op = BellmanOperator(model, FaceGrid(model, m), prob)
             n_checked = 0
             for a, e in op._pre.items():
-                mats = [(b, G) for _, gathers in (e["node"], e["mid"])
-                        for b, _, chunk in gathers for G in chunk]
+                mats = [(b, G) for b, _, chunk in e["jumps"] for G in chunk]
                 mats += [(a, G) for G in e["self_gather"].values()]
                 for b, G in mats:
                     c = len(model.faces[b]) + 1

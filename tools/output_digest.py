@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PDP5 = ROOT / "perfbench" / "models" / "pdp5.json"
 HEXA6 = ROOT / "perfbench" / "models" / "hexa6.json"
 CYCLIC4 = ROOT / "demos" / "models" / "cyclic4.json"
+INJECTIVE = ROOT / "demos" / "models" / "threestate_injective.json"
 
 RUNS = (
     [(f"pdp-check-pdp5-seed{s}",
@@ -37,6 +38,11 @@ RUNS = (
     + [("stop-hexa6-sims600-seed3",
         ["stop", "--model", HEXA6, "--sims", "600", "--horizon", "40", "--seed", 3])]
     + [("stop-cyclic4-grid64-seed1", ["stop", "--model", CYCLIC4, "--grid", "64", "--seed", 1])]
+    # 1-state faces, and a grid whose resolution is not a power of two
+    + [("stop-injective-seed1",
+        ["stop", "--model", INJECTIVE, "--sims", "1000", "--horizon", "40", "--seed", 1])]
+    + [("stop-hexa6-grid5-seed1",
+        ["stop", "--model", HEXA6, "--grid", "5", "--sims", "200", "--horizon", "40", "--seed", 1])]
     + [(f"filter-cyclic4-seed{s}", ["filter", "--model", CYCLIC4, "--seed", s])
        for s in (1, 2, 3)]
     # value_at along two trajectories at about 200 times per run
