@@ -8,7 +8,8 @@ numeric outputs.  Replay refuses (exit code 1) a model file whose hash has
 changed since the recorded run.  The output directory comes from --out,
 overridden by the PDPFILTER_OUT environment variable.
 
-Exit codes: 0 ok, 1 validation failure, 2 numerical non-convergence.
+Exit codes: 0 ok, 1 validation failure, 2 usage error (argparse),
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .stopping import (
 
 EXIT_OK = 0
 EXIT_INVALID = 1
-EXIT_NO_CONVERGENCE = 2
+EXIT_NO_CONVERGENCE = 3  # argparse exits 2 on a usage error
 
 
 def _out_dir(args) -> str:
@@ -274,8 +275,12 @@ def cmd_stop(args) -> int:
               ["label", "point", "coords", "value", "obstacle", "in_contact_set"], rows)
     deltas = vf.info["deltas"]
     ratios = [b / a for a, b in zip(deltas, deltas[1:])]
+    op = vf._operator
+    tail_start_t = {str(a): float(op.times[k]) if k < op.K else None
+                    for a, k in op.tail_start.items()}
     _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]),
-                    stages, solver={"sweep_deltas": deltas, "delta_ratios": ratios})
+                    stages, solver={"sweep_deltas": deltas, "delta_ratios": ratios},
+                    tail_start_t=tail_start_t)
     return EXIT_OK
 
 

@@ -40,7 +40,7 @@ REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
 # scan points that first_entries takes of each live trajectory per round
 SCAN_WINDOW = 128
 # paths that evaluate_policy_mc filters and scans at once: their scan takes
-# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 78 MB
+# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 39 MB
 # that the Bellman operator of that model keeps at grid 16
 # (tools/solver_memory.py)
 MC_CHUNK = 64
@@ -48,6 +48,10 @@ MC_CHUNK = 64
 # once: on perfbench/models/hexa6.json at grid 16 a chunk's transient arrays
 # take about 5 MB in the build and 1.3 MB in a sweep (tracemalloc)
 TIME_CHUNK = 16
+# sup-norm spread of a face's flowed grid points, clipped and normalized, at
+# and below which BellmanOperator flows them as one reference point: 64 ulps
+# of 1, below which hexa6's 4-state face stays from node 309 (t = 15.45) on
+TAIL_SPREAD = 64 * np.finfo(float).eps
 # nodes and weights of the 16-point Gauss-Legendre rule of cost_along_filter
 GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(16)
 
@@ -208,18 +212,44 @@ class BellmanOperator:
     smallest t.  Integrals use composite Simpson on the half-step mesh:
     row 2k is the node t_k = k dt and row 2k + 1 the midpoint t_k + dt/2.
 
-    The time axis is built and swept in chunks of TIME_CHUNK mesh steps
-    (2 TIME_CHUNK rows), so the transient arrays are those of one chunk; the
-    results do not depend on the chunk.  Retained per label a and grid
-    point: at every row, the flowed running cost and, for each other label
-    b, the flux into b; at every node, the discounted flowed obstacle and
-    survival mass; per chunk and other label b, one CSR gather matrix that
+    Each label a's time axis is split at its tail-start node k_T
+    (tail_start[a]): the first node from which on the face's flowed grid
+    points, clipped and normalized, agree within TAIL_SPREAD (sup norm) at
+    every node and midpoint; k_T = K where they never do (frozen flows, as
+    on cyclic4, or a face that converges only algebraically, as hexa6's
+    face b).  A pre-pass flows the grid points to K to find it and keeps
+    nothing, so k_T depends neither on TIME_CHUNK nor on where the spread
+    first falls.  Nodes 0 .. k_T are built and swept in chunks of
+    TIME_CHUNK mesh steps, so the transient arrays are those of one chunk
+    and the results do not depend on the chunk.  Retained per chunk and
+    grid point: at every row, the flowed running cost and, for each other
+    label b, the flux into b; at every node, the discounted flowed obstacle
+    and survival mass; per other label b, one CSR gather matrix that
     interpolates v on face b at the jump targets of the chunk's rows (int32
     indices, the interpolation weights as data); and one such matrix per
     branch time for the flowed points of face a itself.  A sweep gathers
     every row once: each chunk carries into the next the integrand at its
     last node and midpoint, which only the next chunk's first Simpson
     interval uses.
+
+    Past k_T the face keeps the same tables for one point only, the
+    reference flow y(t) from the mass-weighted mean y of the clipped points
+    at k_T, plus each point's mass w_i there; on hexa6's 4-state face at
+    grid 16 that halves the retained tables (78 to 39 MB).  Point i's
+    unnormalized flow is w_i x_i e^{s Lambda_A} at s = t - t_kT, and every
+    tail table is linear in the unnormalized flow but for the jump targets
+    and flowed points, which are normalized, so with x_i replaced by y a
+    sweep takes I_k(i) = I_kT(i) + w_i J_k, J being the reference's own
+    integral from t_kT, the tail's stop minimum as
+    I_kT(i) + w_i min_k (J_k + S_k) (w_i >= 0), and a continue-to-t_k
+    branch past k_T as I_kT(i) + w_i (J_k + M_k v_a(y_k)).  This is exact
+    up to the spread: the normalized y(t) is a convex combination of the
+    points' normalized flows, which agree within TAIL_SPREAD at every row
+    checked, and |x_i - y| <= TAIL_SPREAD per coordinate moves a point's
+    mass relative to the reference's by at most d TAIL_SPREAD times the
+    ratio of the largest to the smallest survival probability from one
+    state of the face.  A face with a single grid point has k_T = 0,
+    w = 1 and the same bits as without a tail.
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
@@ -237,12 +267,55 @@ class BellmanOperator:
         # mesh steps of the check times (clamped to K), and of every continuation branch
         self.check_ks = sorted({min(int(round(c / dt)), K) for c in DEFAULT_CHECK_TIMES})
         self._branch_ks = sorted(set(self.check_ks) | {K})
-        self._chunks = [(k0, min(k0 + TIME_CHUNK, K + 1)) for k0 in range(0, K + 1, TIME_CHUNK)]
         # e^{-alpha t} at the 2K + 1 rows of the mesh
         self.disc = np.empty(2 * K + 1)
         self.disc[::2] = np.exp(-alpha * self.times)
         self.disc[1::2] = np.exp(-alpha * (self.times[:K] + dt / 2))
+        # e^{dt Lambda_A} and e^{dt/2 Lambda_A} per label
+        self._steps = {a: (expm(dt * model._sub[a].matrix), expm(0.5 * dt * model._sub[a].matrix))
+                       for a in model.obs.labels}
+        self.tail_start = {a: self._tail_start(a) for a in model.obs.labels}
         self._pre = {a: self._build(a) for a in model.obs.labels}
+
+    def _flows(self, a, k_end: int):
+        """(k0, k1, X) per chunk of nodes 0 .. k_end of the flowed grid points
+        of face a: X holds the mesh rows from node k0 through node k1 - 1
+        and its midpoint (none after node k_end), unclipped."""
+        start = self.grid.points[a]
+        for k0 in range(0, k_end + 1, TIME_CHUNK):
+            k1 = min(k0 + TIME_CHUNK, k_end + 1)
+            X = self._flow(a, start, min(2 * k1, 2 * k_end + 1) - 2 * k0)
+            start = X[::2][-1] @ self._steps[a][0]  # before the caller clips X
+            yield k0, k1, X
+
+    def _flow(self, a, start: np.ndarray, n_rows: int) -> np.ndarray:
+        """n_rows rows of the half-step mesh from the node `start` on: node
+        k + 1 is node k times e^{dt Lambda_A} and midpoint k is node k times
+        e^{dt/2 Lambda_A}, both from the unclipped node."""
+        E, Eh = self._steps[a]
+        X = np.empty((n_rows,) + start.shape)
+        X[0] = start
+        for i in range(2, n_rows, 2):
+            X[i] = X[i - 2] @ E
+        X[1::2] = X[:-1:2] @ Eh
+        return X
+
+    def _tail_start(self, a) -> int:
+        """k_T of label a: one past the last node or midpoint whose flowed
+        grid points, clipped and normalized, spread by more than TAIL_SPREAD
+        in some coordinate (or have no mass), and at most K."""
+        k_tail = 0
+        for k0, _, X in self._flows(a, self.K):
+            # rows, coordinates, points, so that the reductions over the
+            # points run along contiguous memory
+            P = np.maximum(X.transpose(0, 2, 1), 0.0, order="C")
+            with np.errstate(invalid="ignore", divide="ignore"):
+                P /= P.sum(axis=1, keepdims=True)
+            spread = (P.max(axis=2) - P.min(axis=2)).max(axis=1)
+            wide = np.flatnonzero(~(spread <= TAIL_SPREAD))
+            if wide.size:
+                k_tail = k0 + int(wide[-1]) // 2 + 1
+        return min(k_tail, self.K)
 
     def _gather(self, b, X: np.ndarray):
         """CSR matrix whose row r interpolates values on face b at the point
@@ -257,70 +330,59 @@ class BellmanOperator:
                          shape=(rows, self.grid.n_points(b)))
 
     def _build(self, a) -> dict:
-        """Label a's retained tables, filled chunk by chunk along the flow:
-        node k + 1 is node k times e^{dt Lambda_A} and midpoint k is node k
-        times e^{dt/2 Lambda_A}, both from the unclipped node, and every row
-        is clipped afterwards."""
-        model, grid, K = self.model, self.grid, self.K
-        face = model.faces[a]
-        d = len(face)
-        n = grid.n_points(a)
-        sub = model._sub[a].matrix
-        E = expm(self.dt * sub)
-        Eh = expm(0.5 * self.dt * sub)
-        g, l = self.prob.g[face], self.prob.l[face]
-        e = {"n": n, "stop": np.empty((K + 1, n)), "mass": np.empty((K + 1, n)),
-             "run": np.empty((2 * K + 1, n)), "self_gather": {},
-             # (b, flux into b, gather per chunk) per other label b
-             "jumps": [(b, np.empty((2 * K + 1, n)), []) for b in model._others[a]]}
-        last = None
-        for k0, k1 in self._chunks:
-            rows = slice(2 * k0, 2 * k1)  # clamped at row 2K in the last chunk
-            disc = self.disc[rows]
-            X = np.empty((len(disc), n, d))
-            X[0] = grid.points[a] if last is None else last @ E
-            for i in range(2, len(X), 2):
-                X[i] = X[i - 2] @ E
-            X[1::2] = X[:-1:2] @ Eh
+        """Label a's retained tables: the chunks of nodes 0 .. k_T ("body"),
+        and past k_T the one chunk of the reference flow ("tail", empty for
+        k_T = K) with the masses "w" that lift it onto the grid points."""
+        K, k_tail = self.K, self.tail_start[a]
+        e = {"n": self.grid.n_points(a), "body": [], "tail": []}
+        for k0, k1, X in self._flows(a, k_tail):
             last = X[::2][-1].copy()
-            np.clip(X, 0.0, None, out=X)
-            nodes = X[::2]
-            e["stop"][k0:k1] = disc[::2, None] * (nodes @ g)
-            e["mass"][k0:k1] = disc[::2, None] * nodes.sum(axis=2)
-            e["run"][rows] = X @ l
-            for b, flux, mats in e["jumps"]:
-                T = X @ model._out_rows[a][:, model.faces[b]]
-                Tn, flux[rows] = _restrict(T)
-                mats.append(self._gather(b, Tn.reshape(-1, T.shape[-1])))
-            for k in self._branch_ks:
-                if k0 <= k < k1:
-                    e["self_gather"][k] = self._gather(a, _restrict(nodes[k - k0])[0])
+            e["body"].append(self._chunk(a, X, k0, k1, 2 * k0))
+        if k_tail < K:
+            P = np.maximum(last, 0.0)
+            e["w"] = P.sum(axis=1)
+            y = P.sum(axis=0) / e["w"].sum()
+            X = self._flow(a, y[None, :], 2 * (K - k_tail) + 1)
+            e["tail"].append(self._chunk(a, X, k_tail + 1, K + 1, 2 * k_tail))
         return e
 
-    def _sweep(self, values: dict, a):
-        """One pass over label a's time axis, chunk by chunk: the minimum over
-        the stop branches I_k + e^{-alpha t_k} S_k psi(phi_k), and a dict
-        from each branch step k to the continue-to-t_k branch
-        I_k + e^{-alpha t_k} S_k v(phi_k), where I_k is the cumulative
-        Simpson integral of the discounted running-plus-jump integrand.  Each
-        chunk gathers its own rows once; the integrand at the node and
-        midpoint before it is carried over from the chunk before, and I of
-        that node starts np.cumsum, so I_k is summed in mesh order whatever
-        the chunk."""
-        e = self._pre[a]
+    def _chunk(self, a, X: np.ndarray, k0: int, k1: int, row0: int) -> dict:
+        """The tables of nodes k0 .. k1 - 1 from X, the unclipped mesh rows
+        from row row0 on (one node before k0 in a tail chunk), which are
+        clipped in place."""
+        model = self.model
+        face = model.faces[a]
+        rows = slice(row0, row0 + len(X))
+        disc = self.disc[rows][::2][k0 - k1:, None]
+        np.clip(X, 0.0, None, out=X)
+        nodes = X[::2][k0 - k1:]
+        c = {"nodes": (k0, k1), "rows": rows, "run": X @ self.prob.l[face],
+             "stop": disc * (nodes @ self.prob.g[face]), "mass": disc * nodes.sum(axis=2),
+             "jumps": [], "self_gather": {}}
+        for b in model._others[a]:
+            T = X @ model._out_rows[a][:, model.faces[b]]
+            Tn, flux = _restrict(T)
+            c["jumps"].append((b, flux, self._gather(b, Tn.reshape(-1, T.shape[-1]))))
+        for k in self._branch_ks:
+            if k0 <= k < k1:
+                c["self_gather"][k] = self._gather(a, _restrict(nodes[k - k0])[0])
+        return c
+
+    def _pass(self, chunks: list, values: dict, a, I_prev: np.ndarray):
+        """The stop minimum, the continue-to-t_k branches and the last I of
+        the chunks in order, I starting at I_prev (see _sweep)."""
         best = None
         cont = {}
-        I_prev = np.zeros(e["n"])  # I_0
         carry = None
-        for c, (k0, k1) in enumerate(self._chunks):
-            rows = slice(2 * k0, 2 * k1)
-            jump = np.zeros_like(e["run"][rows])
-            for b, flux, mats in e["jumps"]:
-                jump += flux[rows] * (mats[c] @ values[b]).reshape(jump.shape)
-            q = self.disc[rows, None] * (e["run"][rows] + jump)
+        for c in chunks:
+            k0, k1 = c["nodes"]
+            jump = np.zeros_like(c["run"])
+            for b, flux, G in c["jumps"]:
+                jump += flux * (G @ values[b]).reshape(jump.shape)
+            q = self.disc[c["rows"], None] * (c["run"] + jump)
             if carry is not None:  # from node k0 - 1
                 q = np.concatenate([carry, q])
-            I = np.empty(((len(q) + 1) // 2, e["n"]))
+            I = np.empty(((len(q) + 1) // 2, q.shape[1]))
             I[0] = I_prev
             s = q[: 2 * len(I) - 1]  # through the last node
             I[1:] = (self.dt / 6.0) * (s[:-2:2] + 4.0 * s[1::2] + s[2::2])
@@ -328,11 +390,30 @@ class BellmanOperator:
             I = I[len(I) - (k1 - k0):]  # nodes k0 .. k1 - 1
             I_prev = I[-1]
             carry = q[-2:]
-            low = (I + e["stop"][k0:k1]).min(axis=0)
+            low = (I + c["stop"]).min(axis=0)
             best = low if best is None else np.minimum(best, low)
-            for k in self._branch_ks:
-                if k0 <= k < k1:
-                    cont[k] = I[k - k0] + e["mass"][k] * (e["self_gather"][k] @ values[a])
+            for k, G in c["self_gather"].items():
+                cont[k] = I[k - k0] + c["mass"][k - k0] * (G @ values[a])
+        return best, cont, I_prev
+
+    def _sweep(self, values: dict, a):
+        """One pass over label a's time axis: the minimum over the stop
+        branches I_k + e^{-alpha t_k} S_k psi(phi_k), and a dict from each
+        branch step k to the continue-to-t_k branch
+        I_k + e^{-alpha t_k} S_k v(phi_k), where I_k is the cumulative
+        Simpson integral of the discounted running-plus-jump integrand.  Each
+        chunk gathers its own rows once; the integrand at the node and
+        midpoint before it is carried over from the chunk before, and I of
+        that node starts np.cumsum, so I_k is summed in mesh order whatever
+        the chunk.  The tail's J starts at 0 at node k_T, and is lifted onto
+        the grid points as I_kT + w J."""
+        e = self._pre[a]
+        best, cont, I_T = self._pass(e["body"], values, a, np.zeros(e["n"]))
+        low, tail, _ = self._pass(e["tail"], values, a, np.zeros(1))
+        if e["tail"]:
+            best = np.minimum(best, I_T + e["w"] * low)
+        for k, c in tail.items():
+            cont[k] = I_T + e["w"] * c
         return best, cont
 
     def apply(self, values: dict) -> dict:

@@ -4,11 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdpfilter import cli
 from pdpfilter.cli import main, run_from_manifest
+from pdpfilter.stopping import NoConvergence
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 CYCLIC4 = str(MODELS / "cyclic4.json")
 INJECTIVE = MODELS / "threestate_injective.json"
+HEXA6 = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "hexa6.json"
 
 
 def read_csv(path):
@@ -180,6 +183,25 @@ class TestStop:
         assert all(0.0 < r < 1.0 for r in ratios)
         assert "telemetry" not in solution
 
+    @pytest.mark.parametrize("model, collapse", [
+        # hexa6's 4-state face collapses, its defective 2-state face never
+        # does; a 1-state face is one point from t = 0 on
+        (HEXA6, {"a": (10.0, 20.0), "b": None}),
+        (INJECTIVE, {"L": (0.0, 0.0), "M": (0.0, 0.0), "H": (0.0, 0.0)}),
+    ], ids=["hexa6", "injective"])
+    def test_manifest_telemetry_has_tail_start_times(self, tmp_path, model, collapse):
+        rc = main(["stop", "--model", str(model), "--out", str(tmp_path),
+                   "--sims", "10", "--horizon", "10", "--grid", "4"])
+        assert rc == 0
+        tail = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]["tail_start_t"]
+        assert set(tail) == set(collapse)
+        for label, bounds in collapse.items():
+            if bounds is None:
+                assert tail[label] is None
+            else:
+                assert bounds[0] <= tail[label] <= bounds[1]
+        assert "tail_start_t" not in (tmp_path / "solution.json").read_text()
+
     def test_manifest_telemetry_has_stage_times_and_versions(self, tmp_path):
         rc = main(["stop", "--model", CYCLIC4, "--out", str(tmp_path),
                    "--sims", "20", "--horizon", "20", "--grid", "8"])
@@ -254,7 +276,7 @@ def test_stop_rejects_bad_grid_and_tol(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("tol", [0.0, float("nan")])
 def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
     # the model file's tol meets the check that --tol meets: exit 1 at once,
-    # not 10000 sweeps and exit 2
+    # not 10000 sweeps and exit 3
     model = json.loads(INJECTIVE.read_text())
     model["stopping"]["tol"] = tol
     path = tmp_path / "model.json"
@@ -274,6 +296,21 @@ def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
 def test_flags_only_where_read(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, "--model", CYCLIC4, "--out", str(tmp_path), flag, "5"])
+    assert exc.value.code == 2
+
+
+def test_no_convergence_exits_3_and_a_usage_error_2(tmp_path, monkeypatch, capsys):
+    # a script can tell a solver that did not converge from a mistyped flag
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("no convergence in 1 sweeps")
+
+    monkeypatch.setattr(cli, "solve_value", no_convergence)
+    rc = main(["stop", "--model", str(INJECTIVE), "--out", str(tmp_path),
+               "--sims", "5", "--horizon", "5"])
+    assert rc == cli.EXIT_NO_CONVERGENCE == 3
+    assert "solver failed" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["stop", "--model", str(INJECTIVE), "--out", str(tmp_path), "--no-such-flag"])
     assert exc.value.code == 2
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pdpfilter import (
     BeliefPdp,
@@ -33,7 +34,7 @@ from pdpfilter import (
 )
 from pdpfilter import stopping
 from pdpfilter.stopping import BellmanOperator, ValueFunction, psi_values
-from conftest import HEXA6_GENERATOR
+from conftest import HEXA6_GENERATOR, pdp5_model
 
 
 PROB4 = StoppingProblem(g=[0.0, 2.0, 5.0, 3.0], l=[1.0, 0.5, 2.0, 0.2], alpha=0.5)
@@ -274,7 +275,7 @@ class TestBellman:
             monkeypatch.undo()
 
     def test_transient_memory_bounded(self):
-        # the build keeps about 78 MB on hexa6 at grid 16 (tools/solver_memory.py);
+        # the build keeps about 39 MB on hexa6 at grid 16 (tools/solver_memory.py);
         # the chunked time axis bounds what it and a sweep allocate on top of that
         model, prob = hexa6_problem()
         grid = FaceGrid(model, 16)
@@ -285,7 +286,7 @@ class TestBellman:
             tracemalloc.reset_peak()
             op = BellmanOperator(model, grid, prob)
             retained, peak = tracemalloc.get_traced_memory()
-            assert retained - base > 64 * 2**20
+            assert retained - base > 32 * 2**20
             assert peak - retained < 16 * 2**20
             tracemalloc.reset_peak()
             op.apply(values)
@@ -303,8 +304,9 @@ class TestBellman:
             op = BellmanOperator(model, FaceGrid(model, m), prob)
             n_checked = 0
             for a, e in op._pre.items():
-                mats = [(b, G) for b, _, chunk in e["jumps"] for G in chunk]
-                mats += [(a, G) for G in e["self_gather"].values()]
+                chunks = e["body"] + e["tail"]
+                mats = [(b, G) for c in chunks for b, _, G in c["jumps"]]
+                mats += [(a, G) for c in chunks for G in c["self_gather"].values()]
                 for b, G in mats:
                     c = len(model.faces[b]) + 1
                     n_b = op.grid.n_points(b)
@@ -318,7 +320,89 @@ class TestBellman:
                     want = (v[G.indices.reshape(-1, c)] * w).sum(axis=1)
                     assert np.array_equal(G @ v, want)
                     n_checked += 1
-            assert n_checked > 2 * len(op._chunks)
+            assert n_checked > sum(len(e["body"]) + len(e["tail"]) for e in op._pre.values())
+
+
+def tail_cases():
+    """(model, problem, grid resolution) per case of the tail tests: hexa6's
+    face a collapses and its face b never does, pdp5's 2-state faces
+    collapse, and the injective model's faces have one point each."""
+    hexa6, prob6 = hexa6_problem()
+    prob5 = StoppingProblem(g=[2, 1, 3, 0.5, 1.5], l=[0.4, 0.8, 0.2, 1.0, 0.6], alpha=0.5)
+    injective = StoppingProblem(g=[1.0, -0.5, 2.0], l=[0.3, 1.0, 0.1], alpha=0.5)
+    return {"hexa6-8": (hexa6, prob6, 8), "hexa6-16": (hexa6, prob6, 16),
+            "pdp5-8": (pdp5_model(), prob5, 8), "injective-4": (injective_model(), injective, 4)}
+
+
+def flow_spreads(op, a):
+    """Spread (the largest range of one coordinate over the points) of face
+    a's grid points at every row of the mesh, flowed row by row with the
+    operator's recurrence, clipped and normalized."""
+    E = expm(op.dt * op.model._sub[a].matrix)
+    Eh = expm(0.5 * op.dt * op.model._sub[a].matrix)
+    node = op.grid.points[a]
+    out = []
+    for k in range(op.K + 1):
+        for X in (node, node @ Eh):
+            P = np.maximum(X, 0.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                P = P / P.sum(axis=1, keepdims=True)
+            out.append((P.max(axis=0) - P.min(axis=0)).max())
+        node = node @ E
+    return np.array(out[:-1])  # rows 0 .. 2K
+
+
+class TestTail:
+    @pytest.mark.parametrize("case", ["hexa6-8", "hexa6-16", "pdp5-8", "injective-4"])
+    def test_collapse_matches_the_full_tables(self, case, monkeypatch):
+        # the operator against one with the collapse disabled (every face
+        # keeps its flowed points to K), on the obstacle, the solved values
+        # and uniform values, where the tail's branches win for some points
+        model, prob, m = tail_cases()[case]
+        grid = FaceGrid(model, m)
+        vf = solve_value(model, prob, grid, tol=1e-6)
+        op = vf._operator
+        monkeypatch.setattr(stopping, "TAIL_SPREAD", -1.0)
+        full = BellmanOperator(model, grid, prob)
+        assert set(full.tail_start.values()) == {full.K}
+        if case != "injective-4":
+            assert min(op.tail_start.values()) < op.K
+        rng = np.random.default_rng(58)
+        uniform = {a: rng.uniform(-1, 1, grid.n_points(a)) for a in model.obs.labels}
+        differ = False
+        for values in (psi_values(grid, prob), vf.values, uniform):
+            got, want = op.apply(values), full.apply(values)
+            for a in model.obs.labels:
+                if len(model.faces[a]) == 1:
+                    assert op.tail_start[a] == 0
+                    assert np.array_equal(got[a], want[a])
+                assert np.abs(got[a] - want[a]).max() <= 1e-12
+                differ |= not np.array_equal(got[a], want[a])
+        if case.startswith("hexa6"):
+            assert differ  # a tail branch won somewhere: the comparison is not vacuous
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 4), st.integers(0, 2**32 - 1))
+    def test_rows_past_the_tail_start_agree(self, d, seed):
+        # on a random face of 3 or 4 states next to a 1-state face, every row
+        # from node k_T on spreads by at most TAIL_SPREAD, and k_T is the
+        # first node with that property
+        gen = np.random.default_rng(seed)
+        rate = gen.uniform(0.0, 3.0, (d + 1, d + 1))
+        np.fill_diagonal(rate, 0.0)
+        np.fill_diagonal(rate, -rate.sum(axis=1))
+        model = FilterModel(validate_generator(rate),
+                            ObservationModel.from_assignment(("a",) * d + ("b",)))
+        prob = StoppingProblem(g=gen.uniform(0, 2, d + 1), l=gen.uniform(0, 2, d + 1),
+                               alpha=gen.uniform(0.5, 2.0))
+        op = BellmanOperator(model, FaceGrid(model, 3), prob)
+        spread = flow_spreads(op, "a")
+        k_tail = op.tail_start["a"]
+        if k_tail < op.K:
+            assert spread[2 * k_tail:].max() <= stopping.TAIL_SPREAD
+        if k_tail > 0:
+            assert not (spread[2 * k_tail - 2:2 * k_tail + 1] <= stopping.TAIL_SPREAD).all()
+        assert op.tail_start["b"] == 0
 
 
 class TestValueGeneral:

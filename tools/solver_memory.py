@@ -11,10 +11,13 @@ PYTHONPATH=SRC and one BLAS thread, so that its ru_maxrss is its own: it loads
 the model, builds the operator, then sweeps value iteration from the obstacle
 until the sup-norm change is below the model's tol, as solve_value does.  One
 row is printed per grid: the face sizes, the grid points per face, the mesh
-steps K + 1, the build seconds, the MB that the operator retains (the
-nbytes of its tables and of the index, pointer and weight arrays of its
-sparse gathers), the number of sweeps and their median milliseconds, and
-ru_maxrss in MB after loading, after the build and after the sweeps.
+steps K + 1, each face's tail-start node k_T (K where the face has no tail;
+"-" for a tree whose operator keeps no tails),
+the build seconds, the MB that the operator retains (the nbytes of its
+tables, the tails' reference tables and masses included, and of the index,
+pointer and weight arrays of its sparse gathers), the number of sweeps and
+their median milliseconds, and ru_maxrss in MB after loading, after the
+build and after the sweeps.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ def measure(model_path: str, grid_m: int) -> dict:
     row["rss_build_mb"] = maxrss_mb()
     row["retained_mb"] = retained_bytes(op._pre) / 2**20
     row["steps"] = op.K + 1
+    tail_start = getattr(op, "tail_start", None)  # absent in trees without tails
+    row["k_tail"] = "+".join(str(tail_start[a]) for a in labels) if tail_start else "-"
     values = stopping.psi_values(grid, prob)
     sweep_s = []
     delta = np.inf
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = str(src)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     print(f"model {args.model}")
-    print(f"{'grid':>4s} {'faces':>7s} {'points':>12s} {'steps':>6s} {'build_s':>8s} "
+    print(f"{'grid':>4s} {'faces':>7s} {'points':>12s} {'steps':>6s} {'k_T':>9s} {'build_s':>8s} "
           f"{'retained':>9s} {'sweeps':>6s} {'sweep_ms':>9s} {'rss_load':>9s} {'rss_build':>10s} "
           f"{'rss_sweeps':>11s}")
     for m in args.grid:
@@ -121,7 +126,7 @@ def main(argv=None) -> int:
             print(f"grid {m}: exit code {done.returncode}\n{done.stderr}", file=sys.stderr)
             return 1
         r = json.loads(done.stdout.strip().splitlines()[-1])
-        print(f"{r['grid']:4d} {r['faces']:>7s} {r['points']:>12s} {r['steps']:6d} "
+        print(f"{r['grid']:4d} {r['faces']:>7s} {r['points']:>12s} {r['steps']:6d} {r['k_tail']:>9s} "
               f"{r['build_s']:8.2f} {r['retained_mb']:9.1f} {r['sweeps']:6d} {r['sweep_ms']:9.1f} "
               f"{r['rss_load_mb']:9.1f} {r['rss_build_mb']:10.1f} {r['rss_sweeps_mb']:11.1f}",
               flush=True)
