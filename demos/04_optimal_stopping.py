@@ -35,7 +35,7 @@ prob = StoppingProblem(g=[0.0, 2.0, 5.0, 3.0], l=[1.0, 0.5, 2.0, 0.2], alpha=0.5
 mu = Distribution([0.5, 0.1, 0.2, 0.2])
 
 vf = solve_value(model, prob, FaceGrid(model, 64), tol=1e-6)
-print(f"value iteration: {vf.info['iterations']} sweeps, residual {vf.info['residual']:.2e}")
+print(f"value iteration: {vf.info['iterations']} Gauss-Seidel passes, residual {vf.info['residual']:.2e}")
 
 policy = stopping_rule(vf)
 for a in model.obs.labels:

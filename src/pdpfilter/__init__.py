@@ -45,6 +45,7 @@ from .stopping import (
     StoppingProblem,
     ValueFunction,
     classical_stopping_values,
+    contraction_bound,
     contraction_witness,
     cost_along_filter,
     evaluate_policy_mc,

@@ -35,6 +35,7 @@ from .stopping import (
     FaceGrid,
     NoConvergence,
     StoppingProblem,
+    contraction_bound,
     contraction_witness,
     evaluate_policy_mc,
     solve_value,
@@ -240,6 +241,7 @@ def cmd_stop(args) -> int:
     v_mu = value_general(mu, vf)
     stages["value_general"] = time.perf_counter()
     beta = contraction_witness(vf._operator, RandomSource(args.seed, 900))
+    beta_bound = contraction_bound(vf._operator)
     stages["contraction_witness"] = time.perf_counter()
     report = verify_variational(vf, prob)
     stages["verify_variational"] = time.perf_counter()
@@ -255,6 +257,8 @@ def cmd_stop(args) -> int:
         "residual": vf.info["residual"],
         "iterations": vf.info["iterations"],
         "beta_witness": beta,
+        "beta_bound": beta_bound,
+        "error_bound": vf.info["residual"] / (1.0 - beta_bound),
         "mc_mean": mc_mean,
         "mc_stderr": mc_stderr,
         "mc_censoring_bias_bound": bias_bound,

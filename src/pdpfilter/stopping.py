@@ -44,10 +44,21 @@ SCAN_WINDOW = 128
 # that the Bellman operator of that model keeps at grid 16
 # (tools/solver_memory.py)
 MC_CHUNK = 64
-# mesh steps (two rows each) that the Bellman operator builds and sweeps at
-# once: on perfbench/models/hexa6.json at grid 16 a chunk's transient arrays
-# take about 5 MB in the build and 1.3 MB in a sweep (tracemalloc)
+# the fewest mesh steps (two rows each) that the Bellman operator builds and
+# sweeps at once on a label: every chunk pays a fixed cost in a sweep, and on
+# perfbench/models/hexa6.json at grid 16 a 16-step chunk of the 969-point
+# face takes about 5 MB of transient arrays in the build and 1.3 MB in a
+# sweep (tracemalloc)
 TIME_CHUNK = 16
+# grid points times mesh steps of a chunk: a label of n grid points is built
+# and swept in chunks of max(TIME_CHUNK, CHUNK_BUDGET // n) steps, so a face
+# of a few points takes its whole time axis in one chunk or a few, and a face
+# of 512 points or more keeps TIME_CHUNK.  On perfbench/models/hexa6.json at
+# grid 16 the 17-point face takes 2 chunks, and its sweep 0.34 ms against
+# 2 ms in 41 chunks (2-core x86 machine, one BLAS thread); in one chunk its
+# build would add 4 MB to the peak RSS after the 969-point face's tables,
+# against 1.7 MB in 2
+CHUNK_BUDGET = 8 * 1024
 # sup-norm spread of a face's flowed grid points, clipped and normalized, at
 # and below which BellmanOperator flows them as one reference point: 64 ulps
 # of 1, below which hexa6's 4-state face stays from node 309 (t = 15.45) on
@@ -218,10 +229,12 @@ class BellmanOperator:
     every node and midpoint; k_T = K where they never do (frozen flows, as
     on cyclic4, or a face that converges only algebraically, as hexa6's
     face b).  A pre-pass flows the grid points to K to find it and keeps
-    nothing, so k_T depends neither on TIME_CHUNK nor on where the spread
-    first falls.  Nodes 0 .. k_T are built and swept in chunks of
-    TIME_CHUNK mesh steps, so the transient arrays are those of one chunk
-    and the results do not depend on the chunk.  Retained per chunk and
+    nothing, so k_T depends neither on the chunk length nor on where the
+    spread first falls.  Nodes 0 .. k_T are built and swept in chunks of
+    max(TIME_CHUNK, CHUNK_BUDGET // n) mesh steps for the n grid points of
+    face a, so the transient arrays are those of one chunk, a face of a few
+    points pays the fixed cost of a chunk only once or a few times per
+    sweep, and the results do not depend on the chunk.  Retained per chunk and
     grid point: at every row, the flowed running cost and, for each other
     label b, the flux into b; at every node, the discounted flowed obstacle
     and survival mass; per other label b, one CSR gather matrix that
@@ -277,13 +290,19 @@ class BellmanOperator:
         self.tail_start = {a: self._tail_start(a) for a in model.obs.labels}
         self._pre = {a: self._build(a) for a in model.obs.labels}
 
+    def _chunk_steps(self, a) -> int:
+        """Mesh steps per chunk of label a: max(TIME_CHUNK, CHUNK_BUDGET // n)
+        for the n grid points of face a."""
+        return max(TIME_CHUNK, CHUNK_BUDGET // self.grid.n_points(a))
+
     def _flows(self, a, k_end: int):
         """(k0, k1, X) per chunk of nodes 0 .. k_end of the flowed grid points
         of face a: X holds the mesh rows from node k0 through node k1 - 1
         and its midpoint (none after node k_end), unclipped."""
         start = self.grid.points[a]
-        for k0 in range(0, k_end + 1, TIME_CHUNK):
-            k1 = min(k0 + TIME_CHUNK, k_end + 1)
+        steps = self._chunk_steps(a)
+        for k0 in range(0, k_end + 1, steps):
+            k1 = min(k0 + steps, k_end + 1)
             X = self._flow(a, start, min(2 * k1, 2 * k_end + 1) - 2 * k0)
             start = X[::2][-1] @ self._steps[a][0]  # before the caller clips X
             yield k0, k1, X
@@ -416,42 +435,54 @@ class BellmanOperator:
             cont[k] = I_T + e["w"] * c
         return best, cont
 
+    def update(self, values: dict, a) -> np.ndarray:
+        """(T v) on face a: sweep label a against values, then take the
+        minimum over its stop and continue branches."""
+        best, cont = self._sweep(values, a)
+        for k in self._branch_ks:
+            np.minimum(best, cont[k], out=best)
+        return best
+
     def apply(self, values: dict) -> dict:
-        out = {}
-        for a in self.model.obs.labels:
-            best, cont = self._sweep(values, a)
-            for k in self._branch_ks:
-                np.minimum(best, cont[k], out=best)
-            out[a] = best
-        return out
+        """T v: every label updated against the same values (Jacobi)."""
+        return {a: self.update(values, a) for a in self.model.obs.labels}
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
                 tol: float = 1e-6, max_iter: int = 10000) -> ValueFunction:
-    """Value iteration from the obstacle psi until the sup-norm change < tol.
+    """Gauss-Seidel value iteration from the obstacle psi.
 
-    info records the sup-norm change of every sweep in "deltas".  Raises
-    ValueError for a tol that is not positive or a max_iter below 1."""
+    A pass updates the labels in the order of model.obs.labels, each with
+    BellmanOperator.update against the values as the labels before it in
+    the same pass have left them, so it converges to the fixed point of T
+    (BellmanOperator.apply) in fewer passes than Jacobi sweeps of T.  info
+    records the sup-norm change of every pass in "deltas", and in
+    "residual" the sup-norm of T v - v for the values v returned, from one
+    apply.  Each pass whose change is below tol is followed by that apply,
+    and the solve returns at the first one whose residual is below tol too.
+    Raises ValueError for a tol that is not positive or a max_iter below 1,
+    and NoConvergence when max_iter passes end without it."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     op = BellmanOperator(model, grid, prob)
     values = psi_values(grid, prob)
-    iterations = 0
-    delta = math.inf
     deltas = []
     for iterations in range(1, max_iter + 1):
-        new = op.apply(values)
-        delta = max(np.abs(new[a] - values[a]).max() for a in new)
-        deltas.append(float(delta))
-        values = new
+        delta = 0.0
+        for a in model.obs.labels:
+            new = op.update(values, a)
+            delta = max(delta, float(np.abs(new - values[a]).max()))
+            values[a] = new
+        deltas.append(delta)
         if delta < tol:
-            break
+            final = op.apply(values)
+            residual = max(float(np.abs(final[a] - values[a]).max()) for a in final)
+            if residual < tol:
+                break
     else:
-        raise NoConvergence(f"no convergence in {max_iter} sweeps (last change {delta})")
-    final = op.apply(values)
-    residual = max(np.abs(final[a] - values[a]).max() for a in final)
+        raise NoConvergence(f"no convergence in {max_iter} passes (last change {deltas[-1]})")
     info = {
         "iterations": iterations,
         "residual": residual,
@@ -482,6 +513,29 @@ def contraction_witness(op: BellmanOperator, rng: RandomSource, n_pairs: int = 2
             den = max(den, np.abs(v1[a] - v2[a]).max())
         if den > 0:
             beta = max(beta, num / den)
+    return beta
+
+
+def contraction_bound(op: BellmanOperator) -> float:
+    """beta-bar, a sup-norm Lipschitz constant of T = op.apply.
+
+    Each branch of T is affine in v with a nonnegative linear part L (Simpson
+    and interpolation weights, fluxes and masses are all >= 0), so its
+    Lipschitz constant is the largest entry of L 1 = branch(1) - branch(0),
+    and T, their minimum, has at most the largest over branches.  A stop
+    branch's L 1 is the integral to t_k alone, which grows with k, so the
+    continue branches, which add a nonnegative mass, dominate them; the
+    bound is the largest entry of branch(1) - branch(0) over labels, grid
+    points and continue branches, from two sweeps per label.  For beta-bar
+    < 1 every v has ||v - v*|| <= ||T v - v|| / (1 - beta-bar) from the
+    fixed point v* of T."""
+    labels = op.model.obs.labels
+    ones = {a: np.ones(op.grid.n_points(a)) for a in labels}
+    zeros = {a: np.zeros(op.grid.n_points(a)) for a in labels}
+    beta = 0.0
+    for a in labels:
+        hi, lo = op._sweep(ones, a)[1], op._sweep(zeros, a)[1]
+        beta = max(beta, max(float((hi[k] - lo[k]).max()) for k in hi))
     return beta
 
 

@@ -164,8 +164,9 @@ class TestStop:
         assert rc == 0
         solution = json.loads((tmp_path / "solution.json").read_text())
         assert solution["variational"]["pass"]
-        assert 0.0 < solution["beta_witness"] < 1.0
+        assert 0.0 < solution["beta_witness"] <= solution["beta_bound"] < 1.0
         assert solution["residual"] < 1e-6
+        assert solution["error_bound"] == solution["residual"] / (1.0 - solution["beta_bound"])
         assert abs(solution["mc_mean"] - solution["V_of_mu"]) <= (
             4 * solution["mc_stderr"] + 0.05
         )

@@ -21,6 +21,7 @@ from pdpfilter import (
     StoppingPolicy,
     StoppingProblem,
     classical_stopping_values,
+    contraction_bound,
     contraction_witness,
     cost_along_filter,
     evaluate_policy_mc,
@@ -249,29 +250,51 @@ class TestBellman:
         assert 0.0 < beta < 1.0
 
     def test_time_chunk_changes_no_bit(self, cyclic4, monkeypatch):
-        # TIME_CHUNK 1, 7 and K + 1 (the whole mesh in one chunk) against the
-        # default; K + 1 = 646 is a multiple of neither 7 nor TIME_CHUNK, so
-        # the last chunk is short
+        # (TIME_CHUNK, CHUNK_BUDGET) giving 1-step chunks, chunks whose last
+        # one is short on every face (a budget of 7 steps of hexa6's face a),
+        # and the whole axis in one chunk, against the default; the mesh has
+        # K + 1 = 646 nodes, and hexa6's face a (165 points at grid 8) is
+        # chunked up to its tail start, node 309
         hexa6, prob6 = hexa6_problem()
 
         def run(model, prob, grid):
             vf = solve_value(model, prob, grid, tol=1e-6)
-            beta = contraction_witness(vf._operator, RandomSource(55), n_pairs=2)
-            return vf, verify_variational(vf, prob), beta
+            op = vf._operator
+            steps = {a: op._chunk_steps(a) for a in model.obs.labels}
+            for a, n in steps.items():
+                lengths = [k1 - k0 for k0, k1 in (c["nodes"] for c in op._pre[a]["body"])]
+                assert lengths[:-1] == [n] * (len(lengths) - 1) and 0 < lengths[-1] <= n
+                assert sum(lengths) == op.tail_start[a] + 1
+            beta = contraction_witness(op, RandomSource(55), n_pairs=2)
+            return vf, verify_variational(vf, prob), beta, contraction_bound(op), steps
 
-        for model, prob, grid in ((hexa6, prob6, FaceGrid(hexa6, 8)),
-                                  (cyclic4, PROB4, FaceGrid(cyclic4, 16))):
+        cases = (
+            (hexa6, prob6, FaceGrid(hexa6, 8),
+             {(1, 1): {"a": 1, "b": 1}, (1, 7 * 165): {"a": 7, "b": 128},
+              (646, 1): {"a": 646, "b": 646}},
+             {"a": 49, "b": 910}),
+            (cyclic4, PROB4, FaceGrid(cyclic4, 16),
+             {(1, 1): {"1": 1, "0": 1}, (1, 7 * 165): {"1": 67, "0": 67},
+              (646, 1): {"1": 646, "0": 646}},
+             {"1": 481, "0": 481}),
+        )
+        for model, prob, grid, settings, default_steps in cases:
             ref = run(model, prob, grid)
-            K = ref[0]._operator.K
-            assert (K + 1) % 7 and (K + 1) % stopping.TIME_CHUNK
-            for chunk in (1, 7, K + 1):
-                monkeypatch.setattr(stopping, "TIME_CHUNK", chunk)
-                vf, report, beta = run(model, prob, grid)
+            assert ref[0]._operator.K + 1 == 646
+            assert ref[4] == default_steps
+            tail_start = ref[0]._operator.tail_start
+            assert all((tail_start[a] + 1) % n for a, n in settings[(1, 7 * 165)].items())
+            for (time_chunk, budget), steps in settings.items():
+                monkeypatch.setattr(stopping, "TIME_CHUNK", time_chunk)
+                monkeypatch.setattr(stopping, "CHUNK_BUDGET", budget)
+                vf, report, beta, bound, got = run(model, prob, grid)
+                assert got == steps
                 assert all(np.array_equal(vf.values[a], ref[0].values[a]) for a in vf.values)
                 for key in ("residual", "iterations", "deltas"):
-                    assert vf.info[key] == ref[0].info[key], (chunk, key)
-                assert report == ref[1], chunk
-                assert beta == ref[2], chunk
+                    assert vf.info[key] == ref[0].info[key], (steps, key)
+                assert report == ref[1], steps
+                assert beta == ref[2], steps
+                assert bound == ref[3], steps
             monkeypatch.undo()
 
     def test_transient_memory_bounded(self):
@@ -405,6 +428,60 @@ class TestTail:
         assert op.tail_start["b"] == 0
 
 
+def solver_cases(cyclic4):
+    """tail_cases with cyclic4 at grid 16, whose flows are frozen."""
+    return {**tail_cases(), "cyclic4-16": (cyclic4, PROB4, 16)}
+
+
+class TestGaussSeidel:
+    @pytest.mark.parametrize("case", ["hexa6-8", "cyclic4-16"])
+    def test_matches_jacobi_iteration(self, cyclic4, case):
+        # Jacobi sweeps of T from psi reach the fixed point of the
+        # Gauss-Seidel passes, in more sweeps than passes
+        model, prob, m = solver_cases(cyclic4)[case]
+        vf = solve_value(model, prob, FaceGrid(model, m), tol=1e-10)
+        assert vf.info["residual"] < 1e-10
+        op = vf._operator
+        values = psi_values(op.grid, prob)
+        delta = math.inf
+        sweeps = 0
+        while delta >= 1e-10:
+            new = op.apply(values)
+            delta = max(np.abs(new[a] - values[a]).max() for a in new)
+            values = new
+            sweeps += 1
+        assert max(np.abs(vf.values[a] - values[a]).max() for a in values) < 1e-9
+        assert vf.info["iterations"] < sweeps
+
+    @pytest.mark.parametrize("case", ["hexa6-8", "cyclic4-16"])
+    def test_passes_from_psi_do_not_increase(self, cyclic4, case):
+        model, prob, m = solver_cases(cyclic4)[case]
+        op = BellmanOperator(model, FaceGrid(model, m), prob)
+        values = psi_values(op.grid, prob)
+        for _ in range(4):
+            for a in model.obs.labels:
+                new = op.update(values, a)
+                assert (new <= values[a] + 1e-12).all()
+                values[a] = new
+
+    @pytest.mark.parametrize("case, pinned", [("hexa6-16", 0.8573), ("pdp5-8", 0.8889),
+                                              ("cyclic4-16", 0.6833), ("injective-4", 0.8573)])
+    def test_contraction_bound_certifies_the_solve(self, cyclic4, case, pinned):
+        # witness <= beta-bar < 1, and ||v - v*|| <= residual / (1 - beta-bar)
+        # for v* the fixed point of T, of which a tol-1e-11 solve is within
+        # its own residual / (1 - beta-bar)
+        model, prob, m = solver_cases(cyclic4)[case]
+        grid = FaceGrid(model, m)
+        vf = solve_value(model, prob, grid, tol=1e-6)
+        ref = solve_value(model, prob, grid, tol=1e-11)
+        op = vf._operator
+        beta = contraction_bound(op)
+        assert abs(beta - pinned) < 5e-5
+        assert contraction_witness(op, RandomSource(56), n_pairs=5) <= beta < 1.0
+        error = max(np.abs(vf.values[a] - ref.values[a]).max() for a in ref.values)
+        assert error <= (vf.info["residual"] + ref.info["residual"]) / (1.0 - beta)
+
+
 class TestValueGeneral:
     def test_face_point_reduces_to_v(self, cyclic4, solved4):
         mu = Distribution([0.3, 0.0, 0.7, 0.0])
@@ -487,7 +564,7 @@ class TestPolicy:
         runs = [
             (stopping_rule(solve_value(hexa6, prob6, FaceGrid(hexa6, 8), tol=1e-6)),
              Distribution(np.full(6, 1.0 / 6)), prob6, 25, RandomSource(1, 901).stream(0),
-             (1.2590524903235663, 0.04573357982702855)),
+             (1.2590524903249642, 0.045733579826795545)),
             (stopping_rule(solved4), Distribution([0.5, 0.1, 0.2, 0.2]), PROB4, 150,
              RandomSource(54), (1.388842088814382, 0.012496220253558045)),
         ]

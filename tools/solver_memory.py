@@ -1,4 +1,4 @@
-"""Build time, sweep time and peak RSS of the Bellman operator, one grid resolution per process.
+"""Build time, pass time and peak RSS of the Bellman operator, one grid resolution per process.
 
     python3 tools/solver_memory.py src                   # grids 16 and 24
     python3 tools/solver_memory.py src --grid 16 24 32
@@ -8,16 +8,19 @@ SRC is the directory that holds the `pdpfilter` package to import (a
 checkout's `src/`).  The model (perfbench/models/hexa6.json by default) must
 have a stopping section.  Each grid runs in its own process with
 PYTHONPATH=SRC and one BLAS thread, so that its ru_maxrss is its own: it loads
-the model, builds the operator, then sweeps value iteration from the obstacle
-until the sup-norm change is below the model's tol, as solve_value does.  One
-row is printed per grid: the face sizes, the grid points per face, the mesh
-steps K + 1, each face's tail-start node k_T (K where the face has no tail;
-"-" for a tree whose operator keeps no tails),
-the build seconds, the MB that the operator retains (the nbytes of its
+the model, builds the operator, then runs Gauss-Seidel passes from the
+obstacle, each label updated in place with BellmanOperator.update as
+solve_value does, until a pass changes the values by less than the model's
+tol (Jacobi sweeps of BellmanOperator.apply in a tree without update, as
+its solve_value does).  One row is printed per grid: the face sizes, the
+grid points per face, the mesh steps K + 1, each face's tail-start node k_T
+(K where the face has no tail; "-" for a tree whose operator keeps no
+tails), the build seconds, the MB that the operator retains (the nbytes of its
 tables, the tails' reference tables and masses included, and of the index,
-pointer and weight arrays of its sparse gathers), the number of sweeps and
-their median milliseconds, and ru_maxrss in MB after loading, after the
-build and after the sweeps.
+pointer and weight arrays of its sparse gathers), the number of passes and
+their median milliseconds, the contraction bound beta-bar of the operator
+("-" for a tree without contraction_bound), and ru_maxrss in MB after
+loading, after the build and after the passes.
 """
 
 from __future__ import annotations
@@ -81,17 +84,28 @@ def measure(model_path: str, grid_m: int) -> dict:
     tail_start = getattr(op, "tail_start", None)  # absent in trees without tails
     row["k_tail"] = "+".join(str(tail_start[a]) for a in labels) if tail_start else "-"
     values = stopping.psi_values(grid, prob)
-    sweep_s = []
+    pass_s = []
     delta = np.inf
+    # a tree without BellmanOperator.update solves by Jacobi sweeps of apply
+    jacobi = not hasattr(op, "update")
     while delta >= tol:
         t0 = time.perf_counter()
-        new = op.apply(values)
-        sweep_s.append(time.perf_counter() - t0)
-        delta = max(np.abs(new[a] - values[a]).max() for a in labels)
-        values = new
-    row["sweeps"] = len(sweep_s)
-    row["sweep_ms"] = statistics.median(sweep_s) * 1e3
-    row["rss_sweeps_mb"] = maxrss_mb()
+        if jacobi:
+            new = op.apply(values)
+            delta = max(np.abs(new[a] - values[a]).max() for a in labels)
+            values = new
+        else:
+            delta = 0.0
+            for a in labels:
+                new = op.update(values, a)
+                delta = max(delta, float(np.abs(new - values[a]).max()))
+                values[a] = new
+        pass_s.append(time.perf_counter() - t0)
+    row["passes"] = len(pass_s)
+    row["pass_ms"] = statistics.median(pass_s) * 1e3
+    row["rss_passes_mb"] = maxrss_mb()
+    bound = getattr(stopping, "contraction_bound", None)  # absent in older trees
+    row["beta_bound"] = f"{bound(op):.4f}" if bound else "-"
     return row
 
 
@@ -116,8 +130,8 @@ def main(argv=None) -> int:
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     print(f"model {args.model}")
     print(f"{'grid':>4s} {'faces':>7s} {'points':>12s} {'steps':>6s} {'k_T':>9s} {'build_s':>8s} "
-          f"{'retained':>9s} {'sweeps':>6s} {'sweep_ms':>9s} {'rss_load':>9s} {'rss_build':>10s} "
-          f"{'rss_sweeps':>11s}")
+          f"{'retained':>9s} {'passes':>6s} {'pass_ms':>8s} {'beta':>6s} {'rss_load':>9s} "
+          f"{'rss_build':>10s} {'rss_passes':>11s}")
     for m in args.grid:
         cmd = [sys.executable, __file__, str(src), "--measure", "--grid", str(m),
                "--model", str(Path(args.model).resolve())]
@@ -127,8 +141,9 @@ def main(argv=None) -> int:
             return 1
         r = json.loads(done.stdout.strip().splitlines()[-1])
         print(f"{r['grid']:4d} {r['faces']:>7s} {r['points']:>12s} {r['steps']:6d} {r['k_tail']:>9s} "
-              f"{r['build_s']:8.2f} {r['retained_mb']:9.1f} {r['sweeps']:6d} {r['sweep_ms']:9.1f} "
-              f"{r['rss_load_mb']:9.1f} {r['rss_build_mb']:10.1f} {r['rss_sweeps_mb']:11.1f}",
+              f"{r['build_s']:8.2f} {r['retained_mb']:9.1f} {r['passes']:6d} {r['pass_ms']:8.1f} "
+              f"{r['beta_bound']:>6s} {r['rss_load_mb']:9.1f} {r['rss_build_mb']:10.1f} "
+              f"{r['rss_passes_mb']:11.1f}",
               flush=True)
     return 0
 
