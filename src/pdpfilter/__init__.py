@@ -46,7 +46,6 @@ from .stopping import (
     ValueFunction,
     classical_stopping_values,
     contraction_bound,
-    contraction_witness,
     cost_along_filter,
     evaluate_policy_mc,
     solve_value,

@@ -197,8 +197,6 @@ class ValueFunction:
     def at(self, fp: FacePoint) -> float:
         return float(self.batch(fp.label, fp.x[None, :])[0])
 
-    __call__ = at
-
 
 def psi_values(grid: FaceGrid, prob: StoppingProblem) -> dict:
     """Obstacle psi(nu) = nu g on the grid."""
@@ -228,9 +226,13 @@ class BellmanOperator:
     points, clipped and normalized, agree within TAIL_SPREAD (sup norm) at
     every node and midpoint; k_T = K where they never do (frozen flows, as
     on cyclic4, or a face that converges only algebraically, as hexa6's
-    face b).  A pre-pass flows the grid points to K to find it and keeps
-    nothing, so k_T depends neither on the chunk length nor on where the
-    spread first falls.  Nodes 0 .. k_T are built and swept in chunks of
+    face b).  A pre-pass flows only the face's d corners to K to find it:
+    every grid point's unnormalized flow is the same convex combination of
+    the corners' flows, so its clipped, normalized flow is a mass-weighted
+    convex combination of theirs, and the spread over all grid points is
+    the spread over the corners, which are grid points themselves.  So k_T
+    depends neither on the chunk length nor on where the spread first
+    falls.  Nodes 0 .. k_T are built and swept in chunks of
     max(TIME_CHUNK, CHUNK_BUDGET // n) mesh steps for the n grid points of
     face a, so the transient arrays are those of one chunk, a face of a few
     points pays the fixed cost of a chunk only once or a few times per
@@ -295,18 +297,6 @@ class BellmanOperator:
         for the n grid points of face a."""
         return max(TIME_CHUNK, CHUNK_BUDGET // self.grid.n_points(a))
 
-    def _flows(self, a, k_end: int):
-        """(k0, k1, X) per chunk of nodes 0 .. k_end of the flowed grid points
-        of face a: X holds the mesh rows from node k0 through node k1 - 1
-        and its midpoint (none after node k_end), unclipped."""
-        start = self.grid.points[a]
-        steps = self._chunk_steps(a)
-        for k0 in range(0, k_end + 1, steps):
-            k1 = min(k0 + steps, k_end + 1)
-            X = self._flow(a, start, min(2 * k1, 2 * k_end + 1) - 2 * k0)
-            start = X[::2][-1] @ self._steps[a][0]  # before the caller clips X
-            yield k0, k1, X
-
     def _flow(self, a, start: np.ndarray, n_rows: int) -> np.ndarray:
         """n_rows rows of the half-step mesh from the node `start` on: node
         k + 1 is node k times e^{dt Lambda_A} and midpoint k is node k times
@@ -321,20 +311,15 @@ class BellmanOperator:
 
     def _tail_start(self, a) -> int:
         """k_T of label a: one past the last node or midpoint whose flowed
-        grid points, clipped and normalized, spread by more than TAIL_SPREAD
+        face corners, clipped and normalized, spread by more than TAIL_SPREAD
         in some coordinate (or have no mass), and at most K."""
-        k_tail = 0
-        for k0, _, X in self._flows(a, self.K):
-            # rows, coordinates, points, so that the reductions over the
-            # points run along contiguous memory
-            P = np.maximum(X.transpose(0, 2, 1), 0.0, order="C")
-            with np.errstate(invalid="ignore", divide="ignore"):
-                P /= P.sum(axis=1, keepdims=True)
-            spread = (P.max(axis=2) - P.min(axis=2)).max(axis=1)
-            wide = np.flatnonzero(~(spread <= TAIL_SPREAD))
-            if wide.size:
-                k_tail = k0 + int(wide[-1]) // 2 + 1
-        return min(k_tail, self.K)
+        d = len(self.model.faces[a])
+        P = np.maximum(self._flow(a, np.eye(d), 2 * self.K + 1), 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            P /= P.sum(axis=2, keepdims=True)
+        spread = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
+        wide = np.flatnonzero(~(spread <= TAIL_SPREAD))
+        return min(int(wide[-1]) // 2 + 1, self.K) if wide.size else 0
 
     def _gather(self, b, X: np.ndarray):
         """CSR matrix whose row r interpolates values on face b at the point
@@ -354,8 +339,15 @@ class BellmanOperator:
         k_T = K) with the masses "w" that lift it onto the grid points."""
         K, k_tail = self.K, self.tail_start[a]
         e = {"n": self.grid.n_points(a), "body": [], "tail": []}
-        for k0, k1, X in self._flows(a, k_tail):
+        start = self.grid.points[a]
+        steps = self._chunk_steps(a)
+        for k0 in range(0, k_tail + 1, steps):
+            k1 = min(k0 + steps, k_tail + 1)
+            # the mesh rows from node k0 through node k1 - 1 and its midpoint
+            # (none after node k_T), unclipped until _chunk clips them
+            X = self._flow(a, start, min(2 * k1, 2 * k_tail + 1) - 2 * k0)
             last = X[::2][-1].copy()
+            start = last @ self._steps[a][0]
             e["body"].append(self._chunk(a, X, k0, k1, 2 * k0))
         if k_tail < K:
             P = np.maximum(last, 0.0)
@@ -496,26 +488,6 @@ def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
     return vf
 
 
-def contraction_witness(op: BellmanOperator, rng: RandomSource, n_pairs: int = 20) -> float:
-    """Empirical sup-norm contraction modulus over random value pairs."""
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    labels = op.model.obs.labels
-    beta = 0.0
-    for _ in range(n_pairs):
-        v1 = {a: gen.uniform(-1, 1, op.grid.n_points(a)) for a in labels}
-        v2 = {a: gen.uniform(-1, 1, op.grid.n_points(a)) for a in labels}
-        num = 0.0
-        den = 0.0
-        t1 = op.apply(v1)
-        t2 = op.apply(v2)
-        for a in labels:
-            num = max(num, np.abs(t1[a] - t2[a]).max())
-            den = max(den, np.abs(v1[a] - v2[a]).max())
-        if den > 0:
-            beta = max(beta, num / den)
-    return beta
-
-
 def contraction_bound(op: BellmanOperator) -> float:
     """beta-bar, a sup-norm Lipschitz constant of T = op.apply.
 
@@ -563,8 +535,6 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
     """
     model = traj.model
     alpha = prob.alpha
-    if tau is None:
-        tau = math.inf
     if math.isinf(tau):
         t_end = traj.horizon
         g_term = 0.0

@@ -20,8 +20,8 @@ from pdpfilter import (
     PiecewisePath,
     RandomSource,
     StoppingProblem,
-    contraction_witness,
     classical_stopping_values,
+    contraction_bound,
     evaluate_policy_mc,
     exit_survival_nonlinear_curve,
     exit_survival_oracle,
@@ -256,7 +256,7 @@ def test_criterion_6_stopping_solver_oracle(cyclic4, solved64):
     assert oracle_gap < 1e-3, oracle_gap
     assert vf3.info["residual"] < 1e-6
     assert solved64.info["residual"] < 1e-6
-    beta = contraction_witness(solved64._operator, RandomSource(1005), n_pairs=10)
+    beta = contraction_bound(solved64._operator)
     assert 0.0 < beta < 1.0, beta
 
     # part 2: paper model; the computed rule matches V(mu) by Monte Carlo and

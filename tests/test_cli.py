@@ -164,7 +164,8 @@ class TestStop:
         assert rc == 0
         solution = json.loads((tmp_path / "solution.json").read_text())
         assert solution["variational"]["pass"]
-        assert 0.0 < solution["beta_witness"] <= solution["beta_bound"] < 1.0
+        assert 0.0 < solution["beta_bound"] < 1.0
+        assert "beta_witness" not in solution
         assert solution["residual"] < 1e-6
         assert solution["error_bound"] == solution["residual"] / (1.0 - solution["beta_bound"])
         assert abs(solution["mc_mean"] - solution["V_of_mu"]) <= (
@@ -209,7 +210,7 @@ class TestStop:
         assert rc == 0
         telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
         stages = telemetry["stages_s"]
-        assert set(stages) == {"load", "solve", "value_general", "contraction_witness",
+        assert set(stages) == {"load", "solve", "value_general", "contraction_bound",
                                "verify_variational", "policy_mc"}
         assert all(s >= 0.0 for s in stages.values())
         assert set(telemetry["versions"]) == {"numpy", "scipy", "python"}

@@ -4,15 +4,17 @@
     python3 tools/mc_rate.py ../parent/src src --batches 60 --rounds 6
 
 SRC is the directory that holds the `pdpfilter` package to import (a
-checkout's `src/`).  Each round runs every SRC once, in the order given, each
-in its own process with PYTHONPATH=SRC and one BLAS thread.  A run loads
-perfbench/models/hexa6.json from the checkout that holds this script, solves
-its stopping problem once, and then times N Monte Carlo batches shaped like
-the stop_policy benchmark's: 25 paths each at horizon 40, batch b drawn from
-RandomSource(1, 901).stream(b).  One row is printed per run: paths per
-second over the batches, the minor page faults (ru_minflt) they took, and the
-first 16 hex digits of a sha256 of the batches' (mean, stderr) tuples, which
-is equal for two trees exactly when every batch result has the same bits.
+checkout's `src/`).  Each round runs every SRC once, each in its own process
+with PYTHONPATH=SRC and one BLAS thread: odd rounds in the order given, even
+rounds in the reverse order, since a tree run first in a round tends to read
+faster.  A run loads perfbench/models/hexa6.json from the checkout that holds
+this script, solves its stopping problem once, and then times N Monte Carlo
+batches shaped like the stop_policy benchmark's: 25 paths each at horizon 40,
+batch b drawn from RandomSource(1, 901).stream(b).  One row is printed per
+run: paths per second over the batches, the minor page faults (ru_minflt)
+they took, and the first 16 hex digits of a sha256 of the batches' (mean,
+stderr) tuples, which is equal for two trees exactly when every batch result
+has the same bits.
 The last lines give each tree's median paths per second.
 """
 
@@ -83,7 +85,7 @@ def main(argv=None) -> int:
     print(f"{'round':>5s} {'paths_per_s':>11s} {'minflt':>8s} {'digest':>16s}  src")
     rates = {src: [] for src in srcs}
     for r in range(args.rounds):
-        for src in srcs:
+        for src in srcs if r % 2 == 0 else srcs[::-1]:
             env["PYTHONPATH"] = str(src)
             cmd = [sys.executable, __file__, str(src), "--measure", "--batches", str(args.batches)]
             done = subprocess.run(cmd, env=env, capture_output=True, text=True)

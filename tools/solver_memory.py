@@ -11,16 +11,14 @@ PYTHONPATH=SRC and one BLAS thread, so that its ru_maxrss is its own: it loads
 the model, builds the operator, then runs Gauss-Seidel passes from the
 obstacle, each label updated in place with BellmanOperator.update as
 solve_value does, until a pass changes the values by less than the model's
-tol (Jacobi sweeps of BellmanOperator.apply in a tree without update, as
-its solve_value does).  One row is printed per grid: the face sizes, the
-grid points per face, the mesh steps K + 1, each face's tail-start node k_T
-(K where the face has no tail; "-" for a tree whose operator keeps no
-tails), the build seconds, the MB that the operator retains (the nbytes of its
-tables, the tails' reference tables and masses included, and of the index,
-pointer and weight arrays of its sparse gathers), the number of passes and
-their median milliseconds, the contraction bound beta-bar of the operator
-("-" for a tree without contraction_bound), and ru_maxrss in MB after
-loading, after the build and after the passes.
+tol.  One row is printed per grid: the face sizes, the grid points per face,
+the mesh steps K + 1, each face's tail-start node k_T (K where the face has
+no tail), the build seconds, the MB that the operator retains (the nbytes of
+its tables, the tails' reference tables and masses included, and of the
+index, pointer and weight arrays of its sparse gathers), the number of
+passes and their median milliseconds, the contraction bound beta-bar of the
+operator, and ru_maxrss in MB after loading, after the build and after the
+passes.
 """
 
 from __future__ import annotations
@@ -81,31 +79,22 @@ def measure(model_path: str, grid_m: int) -> dict:
     row["rss_build_mb"] = maxrss_mb()
     row["retained_mb"] = retained_bytes(op._pre) / 2**20
     row["steps"] = op.K + 1
-    tail_start = getattr(op, "tail_start", None)  # absent in trees without tails
-    row["k_tail"] = "+".join(str(tail_start[a]) for a in labels) if tail_start else "-"
+    row["k_tail"] = "+".join(str(op.tail_start[a]) for a in labels)
     values = stopping.psi_values(grid, prob)
     pass_s = []
     delta = np.inf
-    # a tree without BellmanOperator.update solves by Jacobi sweeps of apply
-    jacobi = not hasattr(op, "update")
     while delta >= tol:
         t0 = time.perf_counter()
-        if jacobi:
-            new = op.apply(values)
-            delta = max(np.abs(new[a] - values[a]).max() for a in labels)
-            values = new
-        else:
-            delta = 0.0
-            for a in labels:
-                new = op.update(values, a)
-                delta = max(delta, float(np.abs(new - values[a]).max()))
-                values[a] = new
+        delta = 0.0
+        for a in labels:
+            new = op.update(values, a)
+            delta = max(delta, float(np.abs(new - values[a]).max()))
+            values[a] = new
         pass_s.append(time.perf_counter() - t0)
     row["passes"] = len(pass_s)
     row["pass_ms"] = statistics.median(pass_s) * 1e3
     row["rss_passes_mb"] = maxrss_mb()
-    bound = getattr(stopping, "contraction_bound", None)  # absent in older trees
-    row["beta_bound"] = f"{bound(op):.4f}" if bound else "-"
+    row["beta_bound"] = f"{stopping.contraction_bound(op):.4f}"
     return row
 
 
