@@ -50,6 +50,7 @@ from .stopping import (
     evaluate_policy_mc,
     solve_value,
     stopping_rule,
+    tail_cost_bound,
     value_general,
     verify_variational,
 )

@@ -127,15 +127,10 @@ class ObservationModel:
         object.__setattr__(self, "level_sets", level_sets)
 
     @classmethod
-    def from_assignment(cls, assignment, labels=None) -> "ObservationModel":
+    def from_assignment(cls, assignment) -> "ObservationModel":
+        """The labeling h(i) = assignment[i], its labels in order of first appearance."""
         assignment = tuple(assignment)
-        if labels is None:
-            seen = []
-            for a in assignment:
-                if a not in seen:
-                    seen.append(a)
-            labels = tuple(seen)
-        return cls(labels=tuple(labels), assignment=assignment)
+        return cls(labels=tuple(dict.fromkeys(assignment)), assignment=assignment)
 
     @property
     def n(self) -> int:
@@ -144,11 +139,6 @@ class ObservationModel:
     @property
     def injective(self) -> bool:
         return all(len(v) == 1 for v in self.level_sets.values())
-
-    def indicator(self, a) -> np.ndarray:
-        vec = np.zeros(self.n)
-        vec[self.level_sets[a]] = 1.0
-        return vec
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -32,6 +31,7 @@ from .filtering import DegenerateJump
 from .modelio import ModelFileError, fmt, load_model, path_rows, state_index, write_csv, write_json
 from .pdp import exit_survival_nonlinear_curve, pdp_check_statistics
 from .stopping import (
+    SOLVER_TOL,
     FaceGrid,
     NoConvergence,
     StoppingProblem,
@@ -39,6 +39,7 @@ from .stopping import (
     evaluate_policy_mc,
     solve_value,
     stopping_rule,
+    tail_cost_bound,
     value_general,
     verify_variational,
 )
@@ -94,10 +95,10 @@ def _load(args):
     return out, loaded, stages
 
 
-def _config_of(args, keys):
-    cfg = {"model": os.path.abspath(args.model), "out": args.out}
-    for k in keys:
-        cfg[k] = getattr(args, k)
+def _config_of(args):
+    """Every flag of the subcommand as parsed, the model file's path made absolute."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    cfg["model"] = os.path.abspath(args.model)
     return cfg
 
 
@@ -116,7 +117,7 @@ def cmd_validate(args) -> int:
         "injective": loaded["obs"].injective,
     }
     write_json(os.path.join(out, "report.json"), report)
-    _write_manifest(out, "validate", _config_of(args, []))
+    _write_manifest(out, "validate", _config_of(args))
     return EXIT_OK
 
 
@@ -134,7 +135,7 @@ def cmd_simulate(args) -> int:
     write_csv(os.path.join(out, "chain.csv"), ["time", "value"], path_rows(chain))
     write_csv(os.path.join(out, "observation.csv"), ["time", "value"], path_rows(obs_path))
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "simulate", _config_of(args, ["seed", "horizon"]), stages)
+    _write_manifest(out, "simulate", _config_of(args), stages)
     return EXIT_OK
 
 
@@ -163,7 +164,7 @@ def cmd_filter(args) -> int:
     }
     write_json(os.path.join(out, "summary.json"), summary)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "filter", _config_of(args, ["seed", "horizon"]), stages)
+    _write_manifest(out, "filter", _config_of(args), stages)
     return EXIT_OK
 
 
@@ -188,7 +189,7 @@ def cmd_exit_time(args) -> int:
     ]
     write_csv(os.path.join(out, "exit_time.csv"), ["t", "nonlinear", "oracle", "abs_diff"], rows)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "exit-time", _config_of(args, []), stages)
+    _write_manifest(out, "exit-time", _config_of(args), stages)
     return EXIT_OK
 
 
@@ -210,7 +211,7 @@ def cmd_pdp_check(args) -> int:
     write_json(os.path.join(out, "pdp_check.json"), {"statistics": stats,
                                                      "all_pass": all(s["pass"] for s in stats)})
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "pdp-check", _config_of(args, ["seed", "horizon", "sims"]), stages)
+    _write_manifest(out, "pdp-check", _config_of(args), stages)
     return EXIT_OK
 
 
@@ -228,7 +229,7 @@ def cmd_stop(args) -> int:
     model = loaded["model"]
     prob = StoppingProblem(section["g"], section["l"], float(section["alpha"]))
     resolution = int(section.get("grid_resolution", 32)) if args.grid is None else args.grid
-    tol = float(section.get("tol", 1e-6)) if args.tol is None else args.tol
+    tol = float(section.get("tol", SOLVER_TOL)) if args.tol is None else args.tol
     grid = FaceGrid(model, resolution)
     try:
         vf = solve_value(model, prob, grid, tol=tol)
@@ -247,9 +248,6 @@ def cmd_stop(args) -> int:
     mc_mean, mc_stderr = evaluate_policy_mc(mu, policy, prob, args.sims, args.horizon,
                                             RandomSource(args.seed, 901))
     stages["policy_mc"] = time.perf_counter()
-    bias_bound = math.exp(-prob.alpha * args.horizon) * (
-        float(np.abs(prob.g).max()) + float(np.abs(prob.l).max()) / prob.alpha
-    )
     solution = {
         "V_of_mu": v_mu,
         "residual": vf.info["residual"],
@@ -258,7 +256,7 @@ def cmd_stop(args) -> int:
         "error_bound": vf.info["residual"] / (1.0 - beta_bound),
         "mc_mean": mc_mean,
         "mc_stderr": mc_stderr,
-        "mc_censoring_bias_bound": bias_bound,
+        "mc_censoring_bias_bound": tail_cost_bound(prob, args.horizon),
         "variational": report,
     }
     write_json(os.path.join(out, "solution.json"), solution)
@@ -279,8 +277,8 @@ def cmd_stop(args) -> int:
     op = vf._operator
     tail_start_t = {str(a): float(op.times[k]) if k < op.K else None
                     for a, k in op.tail_start.items()}
-    _write_manifest(out, "stop", _config_of(args, ["seed", "horizon", "sims", "grid", "tol"]),
-                    stages, solver={"sweep_deltas": deltas, "delta_ratios": ratios},
+    _write_manifest(out, "stop", _config_of(args), stages,
+                    solver={"sweep_deltas": deltas, "delta_ratios": ratios},
                     tail_start_t=tail_start_t)
     return EXIT_OK
 
@@ -313,7 +311,7 @@ def cmd_stability(args) -> int:
     stages["distances"] = time.perf_counter()
     write_csv(os.path.join(out, "stability.csv"), ["t", "l1_distance"], rows)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "stability", _config_of(args, ["seed", "horizon"]), stages)
+    _write_manifest(out, "stability", _config_of(args), stages)
     return EXIT_OK
 
 
@@ -336,10 +334,10 @@ def run_from_manifest(manifest_path: str, out: str = None) -> int:
         print(f"model file {cfg['model']} changed or unreadable since the recorded run "
               f"(sha256 {expected} expected)", file=sys.stderr)
         return EXIT_INVALID
-    argv = [command, "--model", cfg["model"], "--out", out or cfg["out"]]
-    for key in ("seed", "horizon", "sims", "grid", "tol"):
-        if cfg.get(key) is not None:
-            argv.extend([f"--{key}", str(cfg[key])])
+    argv = [command]
+    for key, value in {**cfg, "out": out or cfg["out"]}.items():
+        if value is not None:  # stop's --grid and --tol, left to the model file
+            argv.extend([f"--{key}", str(value)])
     return main(argv)
 
 
@@ -349,25 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, *flags):
-        """A subcommand with --model, --out, --seed and --horizon, and the
-        (flag, type, default) flags that only it reads."""
+        """A subcommand with --model and --out, and the (flag, type, default)
+        flags that only it reads; its manifest records them and replay passes them back."""
         p = sub.add_parser(name)
         p.add_argument("--model", required=True)
         p.add_argument("--out", default="pdpfilter_out")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--horizon", type=float, default=10.0)
         for flag, kind, default in flags:
             p.add_argument(flag, type=kind, default=default)
         p.set_defaults(func=func)
 
-    sims = ("--sims", int, 10000)
+    seed, horizon, sims = ("--seed", int, 0), ("--horizon", float, 10.0), ("--sims", int, 10000)
     add("validate", cmd_validate)
-    add("simulate", cmd_simulate)
-    add("filter", cmd_filter)
+    add("simulate", cmd_simulate, seed, horizon)
+    add("filter", cmd_filter, seed, horizon)
     add("exit-time", cmd_exit_time)
-    add("pdp-check", cmd_pdp_check, sims)
-    add("stop", cmd_stop, sims, ("--grid", int, None), ("--tol", float, None))
-    add("stability", cmd_stability)
+    add("pdp-check", cmd_pdp_check, seed, horizon, sims)
+    add("stop", cmd_stop, seed, horizon, sims, ("--grid", int, None), ("--tol", float, None))
+    add("stability", cmd_stability, seed, horizon)
     replay = sub.add_parser("replay")
     replay.add_argument("manifest")
     replay.add_argument("--out", default=None)

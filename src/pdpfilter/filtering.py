@@ -40,11 +40,13 @@ from .chain import (
     PiecewisePath,
     RateMatrix,
     sub_generator,
+    transition_semigroup,
 )
 
 FALLBACK_TOL = 1e-12
 DEG_TOL = 1e-12
 NEG_FACE_TOL = 1e-12
+RK4_STEP = 1e-3  # step of flow_ode's RK4 integration
 # for ||rM||_1 <= 1/2 the Taylor tail of e^{rM} beyond this degree is below
 # 1.04 (1/2)^15 / 15! < 3e-17
 TAYLOR_DEGREE = 14
@@ -327,16 +329,16 @@ class FilterModel:
             raise ValueError("t must be nonnegative")
         return FacePoint(self, x.label, _normalize_rows(self._sub[x.label].rows(x.x, t), t))
 
-    def flow_ode(self, t: float, x: FacePoint, step: float = 1e-3) -> FacePoint:
-        """Fixed-step RK4 integration of the nonlinear field (cross-check of flow)."""
+    def flow_ode(self, t: float, x: FacePoint) -> FacePoint:
+        """RK4 integration of the nonlinear field with step RK4_STEP (cross-check of flow)."""
         if t == 0:
             return x
         face = self.faces[x.label]
         mask = np.zeros((1, self.n))
         mask[0, face] = 1.0
-        y = _rk4_flow_batch(self.rate.entries, mask, x.weights[None, :], t, step)[0]
+        y = _rk4_flow_batch(self.rate.entries, mask, x.weights[None, :], t, RK4_STEP)[0]
         mass = y.sum()
-        # scale drift is O(step^4) per step and removed by the normalization
+        # scale drift is O(RK4_STEP^4) per step and removed by the normalization
         # below; the guard only catches genuinely diverged integrations
         if abs(mass - 1.0) > 1e-3:
             raise FaceMassVanished(f"RK4 mass drifted to {mass}")
@@ -427,13 +429,9 @@ class FilterModel:
         return out
 
     def predict(self, pi, s: float) -> Distribution:
-        """Law of X_{t+s} given observations to t: Pi_t e^{s Lambda}."""
-        if s < 0:
-            raise ValueError("s must be nonnegative")
+        """Law of X_{t+s} given observations to t: Pi_t e^{s Lambda}; ValueError for s < 0."""
         w = pi.weights if isinstance(pi, (FacePoint, Distribution)) else np.asarray(pi, float)
-        if s == 0:
-            return Distribution(np.array(w))
-        return Distribution(w @ expm(s * self.rate.entries))
+        return Distribution(w @ transition_semigroup(self.rate, s))
 
 
 def _rk4_flow_batch(Q: np.ndarray, mask: np.ndarray, Y0: np.ndarray, t: float,

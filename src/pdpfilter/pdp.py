@@ -48,6 +48,8 @@ from .filtering import (
 
 SOJOURN_TOL = 1e-10
 SOJOURN_MAX_ITER = 100
+EXIT_ODE_RTOL = 1e-10  # tolerances of exit_survival_nonlinear_curve's DOP853 solve
+EXIT_ODE_ATOL = 1e-12
 
 
 class LabelEqualsSource(ValueError):
@@ -238,8 +240,7 @@ class BeliefPdp:
         return max(float(flux[self.model._others[nu.label].index(b)]), 0.0)
 
 
-def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts,
-                                  rtol: float = 1e-10, atol: float = 1e-12) -> np.ndarray:
+def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts) -> np.ndarray:
     """P_i(tau_A > t) on a grid, via the normalized scalar ODE.
 
     Integrates y' = y Lambda_A - (y Lambda_A 1) y from delta_i together with
@@ -266,7 +267,7 @@ def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts,
 
     y0 = np.zeros(d + 1)
     y0[p] = 1.0
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=rtol, atol=atol,
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", rtol=EXIT_ODE_RTOL, atol=EXIT_ODE_ATOL,
                     dense_output=True)
     if not sol.success:
         raise RuntimeError(f"exit-time ODE integration failed: {sol.message}")
@@ -274,9 +275,9 @@ def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts,
     return np.exp(z)
 
 
-def exit_survival_nonlinear(rate: RateMatrix, subset, i: int, t: float, **kw) -> float:
+def exit_survival_nonlinear(rate: RateMatrix, subset, i: int, t: float) -> float:
     """Scalar version of exit_survival_nonlinear_curve."""
-    return float(exit_survival_nonlinear_curve(rate, subset, i, [t], **kw)[0])
+    return float(exit_survival_nonlinear_curve(rate, subset, i, [t])[0])
 
 
 def _statistic(name: str, empirical: float, analytic: float, stderr: float, passed) -> dict:

@@ -36,9 +36,14 @@ from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajecto
 DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
 DEFAULT_TAIL_TOL = 1e-7
 DEFAULT_CHECK_TIMES = (2.0, 3.0, 5.0)  # continue-to-t branches of the Bellman operator
+SOLVER_TOL = 1e-6  # sup-norm change and residual at which solve_value stops
+MAX_ITER = 10000  # passes of solve_value, and sweeps of the classical oracle
+VARIATIONAL_TOL = 5e-6  # violation below which verify_variational passes
 REFINE_POINTS = 32  # parts a scan cell is cut into per round of first_entries
 # scan points that first_entries takes of each live trajectory per round
 SCAN_WINDOW = 128
+SCAN_STEP = 0.02  # largest spacing of first_entries' scan points on a segment
+ENTRY_TIME_TOL = 1e-8  # width of the scan cell part whose right end first_entries returns
 # paths that evaluate_policy_mc filters and scans at once: their scan takes
 # about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 39 MB
 # that the Bellman operator of that model keeps at grid 16
@@ -206,6 +211,13 @@ def psi_values(grid: FaceGrid, prob: StoppingProblem) -> dict:
     return out
 
 
+def _mesh_steps(alpha: float) -> int:
+    """K, the DEFAULT_DT steps to T_max = ceil(-log(DEFAULT_TAIL_TOL) / alpha / dt) dt,
+    past which the discount e^{-alpha t} is below DEFAULT_TAIL_TOL."""
+    t_max = math.ceil((-math.log(DEFAULT_TAIL_TOL) / alpha) / DEFAULT_DT) * DEFAULT_DT
+    return max(1, int(round(t_max / DEFAULT_DT)))
+
+
 class BellmanOperator:
     """Single-jump value-iteration operator on the face grids.
 
@@ -273,8 +285,7 @@ class BellmanOperator:
         self.prob = prob
         alpha = prob.alpha
         dt = DEFAULT_DT
-        t_max = math.ceil((-math.log(DEFAULT_TAIL_TOL) / alpha) / dt) * dt
-        K = max(1, int(round(t_max / dt)))
+        K = _mesh_steps(alpha)
         self.dt = dt
         self.K = K
         self.t_max = K * dt
@@ -441,7 +452,7 @@ class BellmanOperator:
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
-                tol: float = 1e-6, max_iter: int = 10000) -> ValueFunction:
+                tol: float = SOLVER_TOL, max_iter: int = MAX_ITER) -> ValueFunction:
     """Gauss-Seidel value iteration from the obstacle psi.
 
     A pass updates the labels in the order of model.obs.labels, each with
@@ -613,34 +624,33 @@ class StoppingPolicy:
             out[on[ok]] = self._margins(a, _normalize_rows(W[ok], dt[on[ok]]))
         return out
 
-    def first_entry(self, traj: FilterTrajectory, time_tol: float = 1e-8,
-                    scan_step: float = 0.02) -> float:
-        """first_entries([traj], time_tol, scan_step)[0]."""
-        return self.first_entries([traj], time_tol, scan_step)[0]
+    def first_entry(self, traj: FilterTrajectory) -> float:
+        """first_entries([traj])[0]."""
+        return self.first_entries([traj])[0]
 
-    def first_entries(self, trajs, time_tol: float = 1e-8, scan_step: float = 0.02) -> list:
+    def first_entries(self, trajs) -> list:
         """First entry time into the contact set along each trajectory, or inf.
 
         The trajectories are stacked in one PathStack and scanned in rounds:
         each round scores the next SCAN_WINDOW scan points of every
         trajectory still in the scan with one call of the stack's evaluator.
         A segment [t0, t1] is scanned at t0 and, unless its flow is frozen
-        (a scalar sub-generator), at ceil((t1 - t0) / scan_step) evenly
+        (a scalar sub-generator), at ceil((t1 - t0) / SCAN_STEP) evenly
         spaced times after it, the last at t1.  A trajectory leaves the scan
         at its first point with margin <= 0 (its entry) or without flow
         mass, or when its points run out.  Unless the entry is a segment
         start, its scan cell is cut into REFINE_POINTS parts, the first part
         whose right end has margin <= 0 is cut again, and so on until the
-        part is no wider than time_tol, one evaluator call per round for all
-        trajectories; its right end is returned.  So a result has
-        margin <= 0 and lies within time_tol of a time with margin > 0, and
-        an entry and exit between two points of a section are missed.  A
-        time t is evaluated at the offset t - t0, as value_at evaluates it,
-        so should_stop(traj.value_at(tau)) scores the point that ended the
-        search.  Every step works row by row, so a result depends neither on
-        its batch nor on SCAN_WINDOW.  Raises FaceMassVanished, for the
-        first such trajectory of the batch, where x_A e^{t Lambda_A}
-        underflows at a scan point before the entry.
+        part is no wider than ENTRY_TIME_TOL, one evaluator call per round
+        for all trajectories; its right end is returned.  So a result has
+        margin <= 0 and lies within ENTRY_TIME_TOL of a time with margin
+        > 0, and an entry and exit between two points of a section are
+        missed.  A time t is evaluated at the offset t - t0, as value_at
+        evaluates it, so should_stop(traj.value_at(tau)) scores the point
+        that ended the search.  Every step works row by row, so a result
+        depends neither on its batch nor on SCAN_WINDOW.  Raises
+        FaceMassVanished, for the first such trajectory of the batch, where
+        x_A e^{t Lambda_A} underflows at a scan point before the entry.
         """
         if not trajs:
             return []
@@ -649,7 +659,7 @@ class StoppingPolicy:
         t0, t1, ids = stack.t0, stack.t1, stack.ids
         length = t1 - t0
         moving = (length > 0) & ~np.isin(ids, self._frozen)
-        n_scan = np.where(moving, np.maximum(2, np.ceil(length / scan_step)), 0).astype(np.int64)
+        n_scan = np.where(moving, np.maximum(2, np.ceil(length / SCAN_STEP)), 0).astype(np.int64)
         step = length / np.maximum(n_scan, 1)
         # the scan points of all trajectories numbered in one sequence, segment
         # after segment: each segment's first number, and each trajectory's range
@@ -700,7 +710,7 @@ class StoppingPolicy:
         cut = np.arange(1, REFINE_POINTS)
         while True:
             # stops too where rounding halts progress
-            act = np.flatnonzero((time_tol < hi - lo) & (hi - lo < width))
+            act = np.flatnonzero((ENTRY_TIME_TOL < hi - lo) & (hi - lo < width))
             if not act.size:
                 break
             width[act] = hi[act] - lo[act]
@@ -722,11 +732,9 @@ class StoppingPolicy:
         return tau.tolist()
 
 
-def stopping_rule(v: ValueFunction, eps: float = None) -> StoppingPolicy:
-    """Policy from the eps-relaxed contact set; eps defaults to 2 * solver tol."""
-    if eps is None:
-        eps = 2.0 * v.info.get("tol", 1e-6)
-    return StoppingPolicy(v, eps)
+def stopping_rule(v: ValueFunction) -> StoppingPolicy:
+    """Policy from the eps-relaxed contact set, eps = 2 * v's solver tol (SOLVER_TOL if unset)."""
+    return StoppingPolicy(v, 2.0 * v.info.get("tol", SOLVER_TOL))
 
 
 def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
@@ -743,7 +751,7 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     is run path by path instead, through run_filter.  Both ways give every
     path the bits it has alone, so (mean, stderr) do not depend on the
     chunk.  Stopping is censored at the horizon (tau treated as infinite),
-    valid when e^{-alpha horizon} (max|g| + max|l|/alpha) is negligible.
+    valid when tail_cost_bound(prob, horizon) is negligible.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
@@ -767,13 +775,20 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     return mean, stderr
 
 
-def verify_variational(v: ValueFunction, prob: StoppingProblem, tol: float = 5e-6) -> dict:
-    """Check u <= psi and u <= continue-to-t-then-u on the grid, at the
-    operator's check times (DEFAULT_CHECK_TIMES clamped to T_max).
+def tail_cost_bound(prob: StoppingProblem, t: float) -> float:
+    """e^{-alpha t} (max|g| + max|l| / alpha), a bound on the discounted cost from t on."""
+    g_max = float(np.abs(prob.g).max())
+    l_max = float(np.abs(prob.l).max())
+    return math.exp(-prob.alpha * t) * (g_max + l_max / prob.alpha)
+
+
+def verify_variational(v: ValueFunction, prob: StoppingProblem) -> dict:
+    """Check u <= psi and u <= continue-to-t-then-u, up to VARIATIONAL_TOL,
+    on the grid at the operator's check times (DEFAULT_CHECK_TIMES clamped to T_max).
 
     The continuation expectation uses the same single-jump quadrature as the
-    Bellman operator; the one-jump truncation bound (value beyond T_max) is
-    reported.  Maximality of v among solutions is NOT checked.  The
+    Bellman operator; the one-jump truncation bound (tail_cost_bound at
+    T_max) is reported.  Maximality of v among solutions is NOT checked.  The
     operator is the one v was solved with, or, for a hand-made v, one built
     for prob.  The check times are branches of that operator, so for a
     solved v both inequalities hold up to its residual: the check confirms
@@ -789,24 +804,19 @@ def verify_variational(v: ValueFunction, prob: StoppingProblem, tol: float = 5e-
         cont = op._sweep(v.values, a)[1]
         for k in op.check_ks:
             cont_violation = max(cont_violation, float((v.values[a] - cont[k]).max()))
-    g_max = float(np.abs(prob.g).max())
-    l_max = float(np.abs(prob.l).max())
-    truncation_bound = math.exp(-prob.alpha * op.t_max) * (g_max + l_max / prob.alpha)
-    passed = obstacle_violation < tol and cont_violation < tol
+    passed = obstacle_violation < VARIATIONAL_TOL and cont_violation < VARIATIONAL_TOL
     return {
         "pass": bool(passed),
-        "tol": tol,
+        "tol": VARIATIONAL_TOL,
         "obstacle_violation": obstacle_violation,
         "continuation_violation": cont_violation,
         "checked_times": checked,
-        "one_jump_truncation_bound": truncation_bound,
+        "one_jump_truncation_bound": tail_cost_bound(prob, op.t_max),
         "note": "maximality among solutions of the inequality system is not checked",
     }
 
 
-def classical_stopping_values(rate, g, l, alpha: float, dt: float = DEFAULT_DT,
-                              t_max: float = None, tol: float = 1e-6,
-                              max_iter: int = 10000) -> np.ndarray:
+def classical_stopping_values(rate, g, l, alpha: float, tol: float = SOLVER_TOL) -> np.ndarray:
     """Independent fully-observed stopping oracle on the states.
 
     Scalar value iteration with the same time mesh as the grid solver but
@@ -816,17 +826,14 @@ def classical_stopping_values(rate, g, l, alpha: float, dt: float = DEFAULT_DT,
     Q = rate.entries
     g = np.asarray(g, dtype=float)
     l = np.asarray(l, dtype=float)
-    n = len(g)
     lam = -np.diag(Q)
     off = Q - np.diag(np.diag(Q))
-    if t_max is None:
-        t_max = math.ceil((-math.log(DEFAULT_TAIL_TOL) / alpha) / dt) * dt
-    K = max(1, int(round(t_max / dt)))
-    times = np.arange(K + 1) * dt
+    K = _mesh_steps(alpha)
+    times = np.arange(K + 1) * DEFAULT_DT
     beta = alpha + lam  # per-state decay of e^{-alpha t} * survival
     decay = np.exp(-np.outer(times, beta))  # (K+1, n)
     v = g.copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         c = l + off @ v
         integral = (1.0 - decay) / beta * c
         stop_branches = integral + decay * g

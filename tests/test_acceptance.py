@@ -4,6 +4,7 @@ Each test prints a one-line PASS summary with its elapsed time; the assertions
 carry the quantitative thresholds.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -284,14 +285,14 @@ def test_criterion_6_stopping_solver_oracle(cyclic4, solved64):
 
 def test_criterion_7_variational_inequalities(solved64):
     t0 = time.perf_counter()
-    report = verify_variational(solved64, PROB4, tol=5e-6)
+    report = verify_variational(solved64, PROB4)
     assert report["pass"], report
     bumped = ValueFunction(
         solved64.grid,
         {a: v + 1.0 for a, v in psi_values(solved64.grid, PROB4).items()},
         PROB4,
     )
-    bad = verify_variational(bumped, PROB4, tol=5e-6)
+    bad = verify_variational(bumped, PROB4)
     assert not bad["pass"]
     dt = elapsed_since(t0)
     assert dt < 30.0, dt
@@ -325,6 +326,7 @@ def test_criterion_9_manifest_reproducibility(tmp_path):
     t0 = time.perf_counter()
     cyclic4_file = str(MODELS / "cyclic4.json")
     runs = [
+        ("validate", []),
         ("simulate", ["--seed", "7", "--horizon", "6"]),
         ("filter", ["--seed", "7", "--horizon", "6"]),
         ("exit-time", []),
@@ -332,10 +334,18 @@ def test_criterion_9_manifest_reproducibility(tmp_path):
         ("pdp-check", ["--seed", "7", "--sims", "400", "--horizon", "6"]),
         ("stop", ["--seed", "7", "--sims", "100", "--horizon", "20", "--grid", "8"]),
     ]
+    # each manifest records --model, --out and the flags its command reads
+    monte_carlo = {"seed", "horizon"}
+    config_keys = {"validate": set(), "exit-time": set(), "simulate": monte_carlo,
+                   "filter": monte_carlo, "stability": monte_carlo,
+                   "pdp-check": monte_carlo | {"sims"},
+                   "stop": monte_carlo | {"sims", "grid", "tol"}}
     for command, extra in runs:
         first = tmp_path / command / "first"
         rc = main([command, "--model", cyclic4_file, "--out", str(first)] + extra)
         assert rc == 0, command
+        config = json.loads((first / "manifest.json").read_text())["config"]
+        assert set(config) == {"model", "out"} | config_keys[command], command
         second = tmp_path / command / "second"
         rc = run_from_manifest(str(first / "manifest.json"), out=str(second))
         assert rc == 0, command

@@ -218,14 +218,15 @@ class TestStop:
 
 
 @pytest.mark.parametrize("command, flags, names", [
-    ("simulate", [], {"load", "sample", "write"}),
-    ("filter", [], {"load", "sample", "filter", "write"}),
+    ("simulate", ["--seed", "2"], {"load", "sample", "write"}),
+    ("filter", ["--seed", "2"], {"load", "sample", "filter", "write"}),
     ("exit-time", [], {"load", "survival", "write"}),
-    ("pdp-check", ["--sims", "50", "--horizon", "4"], {"load", "statistics", "write"}),
-    ("stability", [], {"load", "sample", "filter", "distances", "write"}),
+    ("pdp-check", ["--seed", "2", "--sims", "50", "--horizon", "4"],
+     {"load", "statistics", "write"}),
+    ("stability", ["--seed", "2"], {"load", "sample", "filter", "distances", "write"}),
 ])
 def test_manifest_telemetry_has_stage_times_per_command(tmp_path, command, flags, names):
-    rc = main([command, "--model", CYCLIC4, "--out", str(tmp_path), "--seed", "2"] + flags)
+    rc = main([command, "--model", CYCLIC4, "--out", str(tmp_path)] + flags)
     assert rc == 0
     telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
     assert set(telemetry) == {"stages_s", "versions"}
@@ -294,7 +295,9 @@ def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
     (command, flag)
     for command in ("validate", "simulate", "filter", "exit-time", "stability")
     for flag in ("--sims", "--grid", "--tol")
-] + [("pdp-check", "--grid"), ("pdp-check", "--tol")])
+] + [("pdp-check", "--grid"), ("pdp-check", "--tol")] + [
+    (command, flag) for command in ("validate", "exit-time") for flag in ("--seed", "--horizon")
+])
 def test_flags_only_where_read(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, "--model", CYCLIC4, "--out", str(tmp_path), flag, "5"])

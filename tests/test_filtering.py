@@ -210,7 +210,7 @@ class TestFlowOde:
             fp = random_face_point(gen, model, "a")
             for t in (0.2, 0.7, 2.0):
                 a = model.flow(t, fp).weights
-                b = model.flow_ode(t, fp, step=1e-3).weights
+                b = model.flow_ode(t, fp).weights
                 assert np.abs(a - b).max() < 1e-9
 
     def test_agrees_on_random_models(self):
@@ -222,7 +222,7 @@ class TestFlowOde:
             model = FilterModel(rate, obs)
             fp = random_face_point(gen, model)
             a = model.flow(0.9, fp).weights
-            b = model.flow_ode(0.9, fp, step=1e-3).weights
+            b = model.flow_ode(0.9, fp).weights
             assert np.abs(a - b).max() < 1e-8
 
 

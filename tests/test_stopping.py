@@ -872,10 +872,10 @@ def policy_problems(draw):
 @given(policy_problems())
 def test_first_entry_matches_segment_scan_and_bisection(problem):
     policy, traj, batch = problem
-    time_tol, scan_step = 1e-8, 0.02
-    taus = policy.first_entries(batch, time_tol, scan_step)
-    assert taus == [policy.first_entries([t], time_tol, scan_step)[0] for t in batch]
-    tau = policy.first_entry(traj, time_tol, scan_step)
+    time_tol, scan_step = stopping.ENTRY_TIME_TOL, stopping.SCAN_STEP
+    taus = policy.first_entries(batch)
+    assert taus == [policy.first_entries([t])[0] for t in batch]
+    tau = policy.first_entry(traj)
     assert tau == taus[0] and policy.first_entries([]) == []
     ref = reference_first_entry(policy, traj, time_tol, scan_step)
     assert math.isinf(tau) == math.isinf(ref), (tau, ref)

@@ -49,6 +49,8 @@ RUNS = (
     + [(f"stability-cyclic4-seed{s}", ["stability", "--model", CYCLIC4, "--seed", s])
        for s in (1, 2, 3)]
     + [("simulate-cyclic4-seed1", ["simulate", "--model", CYCLIC4, "--seed", 1])]
+    + [("validate-cyclic4", ["validate", "--model", CYCLIC4])]
+    + [("exit-time-cyclic4", ["exit-time", "--model", CYCLIC4])]
 )
 
 
