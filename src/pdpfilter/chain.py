@@ -4,7 +4,9 @@ States are indexed 0..n-1.  Measures follow the row-vector convention
 (``mu @ Q`` advances a measure), functions are column vectors (``Q @ f``).
 The matrix exponential is computed with scipy.linalg.expm, i.e. Pade
 scaling-and-squaring; the state spaces here are small and dense, so no
-uniformization path is provided.
+uniformization path is provided.  `expm` imports scipy.linalg on its first
+call, not with the package, so that a model whose faces all diagonalize is
+loaded and filtered with numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 ROW_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
@@ -217,6 +218,13 @@ class RandomSource:
         return RandomSource(self.seed, r, tuple(self.lineage) + (self.stream_id,))
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm(a), with scipy.linalg imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 def transition_semigroup(rate: RateMatrix, t: float) -> np.ndarray:
     """e^{t Lambda} via scipy's Pade scaling-and-squaring expm."""
     if t < 0:
@@ -274,12 +282,15 @@ def sub_generator(rate: RateMatrix, subset) -> np.ndarray:
 
 
 def exit_survival_oracle(rate: RateMatrix, subset, i: int, t: float) -> float:
-    """Classical sub-generator formula P_i(tau_A > t) = (delta_i e^{t Lambda_A}) . 1."""
+    """Classical sub-generator formula P_i(tau_A > t) = (delta_i e^{t Lambda_A}) . 1;
+    ValueError for t < 0."""
     idx = list(subset)
     if i not in idx:
         raise StateNotInSubset(f"state {i} not in subset")
     sub = sub_generator(rate, idx)
     p = int(idx.index(i))
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if t == 0:
         return 1.0
     row = expm(t * sub)[p]

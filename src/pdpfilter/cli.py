@@ -179,6 +179,10 @@ def cmd_exit_time(args) -> int:
     start = state_index(names, section["start"])
     t_max = float(section.get("t_max", 5.0))
     step = float(section.get("step", 0.01))
+    if not step > 0:
+        raise ValueError(f"exit_time.step must be positive, got {step}")
+    if not t_max >= 0:
+        raise ValueError(f"exit_time.t_max must be nonnegative, got {t_max}")
     ts = np.arange(0.0, t_max + step / 2, step)
     nonlinear = exit_survival_nonlinear_curve(loaded["rate"], subset, start, ts)
     oracle = np.array([exit_survival_oracle(loaded["rate"], subset, start, t) for t in ts])

@@ -32,13 +32,13 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import (
     Distribution,
     ObservationModel,
     PiecewisePath,
     RateMatrix,
+    expm,
     sub_generator,
     transition_semigroup,
 )
@@ -418,11 +418,12 @@ class FilterModel:
         """Discrete-time approximating filter on the grid k*delta.
 
         Pibar_0 = H_{Y_0}[mu]; Pibar_k = H_{Y_{k delta}}[Pibar_{k-1} e^{delta Lambda}].
+        ValueError for delta < 0.
         """
         obs_samples = list(obs_samples)
         if not obs_samples:
             raise ValueError("obs_samples must be nonempty")
-        P = expm(delta * self.rate.entries)
+        P = transition_semigroup(self.rate, delta)
         out = [self.restrict_normalize(mu, obs_samples[0])]
         for a in obs_samples[1:]:
             out.append(self.restrict_normalize(out[-1].weights @ P, a))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .chain import (
     Distribution,
@@ -245,7 +244,10 @@ def exit_survival_nonlinear_curve(rate: RateMatrix, subset, i: int, ts) -> np.nd
 
     Integrates y' = y Lambda_A - (y Lambda_A 1) y from delta_i together with
     the accumulated rate z' = y Lambda_A 1, and returns exp(z(t)).
+    scipy.integrate is imported here, on the first call.
     """
+    from scipy.integrate import solve_ivp
+
     subset = list(subset)
     if i not in subset:
         raise StateNotInSubset(f"state {i} not in subset")

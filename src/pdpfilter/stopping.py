@@ -26,10 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_array
 
-from .chain import Distribution, RandomSource, observe, sample_chain
+from .chain import Distribution, RandomSource, expm, observe, sample_chain
 from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory, PathStack,
                         _normalize_rows, _restrict)
 
@@ -338,6 +336,8 @@ class BellmanOperator:
         interpolation_weights in their order, zero weights kept, so that
         (G @ values[b])[r] sums the products left to right, as
         (values[b][idx] * wgt).sum(axis=1) does."""
+        from scipy.sparse import csr_array
+
         idx, wgt = self.grid.interpolation_weights(b, X)
         rows, c = idx.shape
         indptr = np.arange(0, rows * c + 1, c, dtype=np.int32)

@@ -202,6 +202,12 @@ class TestExitSurvivalOracle:
         with pytest.raises(StateNotInSubset):
             exit_survival_oracle(rate, [0, 2], 1, 1.0)
 
+    def test_negative_time_rejected(self):
+        # e^{-Lambda_A} would give a "probability" of e > 1 on cyclic4
+        rate = validate_generator(CYCLIC4_GENERATOR)
+        with pytest.raises(ValueError, match="nonnegative"):
+            exit_survival_oracle(rate, [0, 2], 0, -1.0)
+
 
 class TestPiecewisePath:
     def test_value_at(self):

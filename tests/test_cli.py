@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +11,11 @@ from pdpfilter import cli
 from pdpfilter.cli import main, run_from_manifest
 from pdpfilter.stopping import NoConvergence
 
-MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "demos" / "models"
 CYCLIC4 = str(MODELS / "cyclic4.json")
 INJECTIVE = MODELS / "threestate_injective.json"
-HEXA6 = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "hexa6.json"
+HEXA6 = ROOT / "perfbench" / "models" / "hexa6.json"
 
 
 def read_csv(path):
@@ -289,6 +293,54 @@ def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "tol" in err[0], err
+
+
+@pytest.mark.parametrize("key, value", [("step", 0.0), ("step", -0.1), ("t_max", -1.0)])
+def test_exit_time_rejects_bad_time_grid(tmp_path, capsys, key, value):
+    # a step of 0 divided by zero; a negative step or t_max wrote a csv of
+    # its header alone and exited 0
+    model = json.loads(Path(CYCLIC4).read_text())
+    model["exit_time"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    rc = main(["exit-time", "--model", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+    assert not (out / "exit_time.csv").exists()
+
+
+COLD_START = """
+import json, sys
+from pdpfilter import cli, exit_survival_nonlinear_curve, transition_semigroup
+from pdpfilter.modelio import load_model
+
+def loaded():
+    names = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.optimize")
+    return [m for m in names if m in sys.modules]
+
+rate = load_model(sys.argv[1])["rate"]
+stages = [loaded()]
+transition_semigroup(rate, 1.0)
+stages.append(loaded())
+exit_survival_nonlinear_curve(rate, [0, 2], 0, [1.0])
+stages.append(loaded())
+print(json.dumps(stages))
+"""
+
+
+def test_scipy_subpackages_load_on_first_use():
+    # a fresh interpreter: the package and a model whose faces all
+    # diagonalize need numpy and top-level scipy only
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", COLD_START, CYCLIC4], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    after_load, after_semigroup, after_exit_curve = json.loads(done.stdout)
+    assert after_load == []
+    assert "scipy.linalg" in after_semigroup and "scipy.integrate" not in after_semigroup
+    assert "scipy.integrate" in after_exit_curve
 
 
 @pytest.mark.parametrize("command, flag", [

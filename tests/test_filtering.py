@@ -389,6 +389,10 @@ class TestDiscreteFilter:
         assert len(out) == 1
         assert np.allclose(out[0].weights, [0.5, 0, 0.5, 0])
 
+    def test_negative_delta_rejected(self, cyclic4, uniform4):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cyclic4.discrete_filter(uniform4, -0.1, ["1", "0"])
+
     def test_dyadic_convergence_order_one_jump_free(self):
         # on a jump-free observation window the discrete filter converges to
         # the flow at order 1, so halving the step roughly halves the error
