@@ -95,6 +95,18 @@ def _load(args):
     return out, loaded, stages
 
 
+def _section(loaded, name: str, *keys) -> dict:
+    """The model file's section `name`, which must hold each of `keys`:
+    ModelFileError (exit code 1, one stderr line) otherwise."""
+    section = loaded["raw"].get(name)
+    if not section:
+        raise ModelFileError(f"model file has no {name} section")
+    for key in keys:
+        if key not in section:
+            raise ModelFileError(f"model file's {name} section has no {key!r}")
+    return section
+
+
 def _config_of(args):
     """Every flag of the subcommand as parsed, the model file's path made absolute."""
     cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
@@ -170,10 +182,7 @@ def cmd_filter(args) -> int:
 
 def cmd_exit_time(args) -> int:
     out, loaded, stages = _load(args)
-    section = loaded["raw"].get("exit_time")
-    if not section:
-        print("model file has no exit_time section", file=sys.stderr)
-        return EXIT_INVALID
+    section = _section(loaded, "exit_time", "subset", "start")
     names = loaded["names"]
     subset = [state_index(names, s) for s in section["subset"]]
     start = state_index(names, section["start"])
@@ -226,10 +235,7 @@ def cmd_stop(args) -> int:
     if args.tol is not None and not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     out, loaded, stages = _load(args)
-    section = loaded["raw"].get("stopping")
-    if not section:
-        print("model file has no stopping section", file=sys.stderr)
-        return EXIT_INVALID
+    section = _section(loaded, "stopping", "g", "l", "alpha")
     model = loaded["model"]
     prob = StoppingProblem(section["g"], section["l"], float(section["alpha"]))
     resolution = int(section.get("grid_resolution", 32)) if args.grid is None else args.grid
@@ -290,10 +296,7 @@ def cmd_stop(args) -> int:
 def cmd_stability(args) -> int:
     out, loaded, stages = _load(args)
     model = loaded["model"]
-    section = loaded["raw"].get("stability")
-    if not section:
-        print("model file has no stability section", file=sys.stderr)
-        return EXIT_INVALID
+    section = _section(loaded, "stability", "init_a", "init_b")
     init_a = Distribution(section["init_a"])
     init_b = Distribution(section["init_b"])
     rng = RandomSource(args.seed)

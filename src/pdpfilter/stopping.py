@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, RandomSource, expm, observe, sample_chain
+from .chain import Distribution, RandomSource, observe, sample_chain
 from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory, PathStack,
                         _normalize_rows, _restrict)
 
@@ -230,16 +230,21 @@ class BellmanOperator:
     times then hold up to the residual.  Ties in the minimization go to the
     smallest t.  Integrals use composite Simpson on the half-step mesh:
     row 2k is the node t_k = k dt and row 2k + 1 the midpoint t_k + dt/2.
+    Every row comes from one table per label, built once: the face's d
+    corners flowed to each row time t_r by the package propagator
+    (FilterModel._sub[a].rows), C[r] = e^{t_r Lambda_A}.  A grid point x
+    has x C[r] at row r, so no row depends on the rows before it or on the
+    chunk that holds it.
 
     Each label a's time axis is split at its tail-start node k_T
     (tail_start[a]): the first node from which on the face's flowed grid
     points, clipped and normalized, agree within TAIL_SPREAD (sup norm) at
     every node and midpoint; k_T = K where they never do (frozen flows, as
     on cyclic4, or a face that converges only algebraically, as hexa6's
-    face b).  A pre-pass flows only the face's d corners to K to find it:
-    every grid point's unnormalized flow is the same convex combination of
-    the corners' flows, so its clipped, normalized flow is a mass-weighted
-    convex combination of theirs, and the spread over all grid points is
+    face b).  It is read off the corner table alone: every grid point's
+    unnormalized flow is the same convex combination of the corners'
+    flows, so its clipped, normalized flow is a mass-weighted convex
+    combination of theirs, and the spread over all grid points is
     the spread over the corners, which are grid points themselves.  So k_T
     depends neither on the chunk length nor on where the spread first
     falls.  Nodes 0 .. k_T are built and swept in chunks of
@@ -291,13 +296,17 @@ class BellmanOperator:
         # mesh steps of the check times (clamped to K), and of every continuation branch
         self.check_ks = sorted({min(int(round(c / dt)), K) for c in DEFAULT_CHECK_TIMES})
         self._branch_ks = sorted(set(self.check_ks) | {K})
-        # e^{-alpha t} at the 2K + 1 rows of the mesh
-        self.disc = np.empty(2 * K + 1)
-        self.disc[::2] = np.exp(-alpha * self.times)
-        self.disc[1::2] = np.exp(-alpha * (self.times[:K] + dt / 2))
-        # e^{dt Lambda_A} and e^{dt/2 Lambda_A} per label
-        self._steps = {a: (expm(dt * model._sub[a].matrix), expm(0.5 * dt * model._sub[a].matrix))
-                       for a in model.obs.labels}
+        # the 2K + 1 rows of the mesh: node k at t_k, then its midpoint t_k + dt/2
+        t_rows = np.empty(2 * K + 1)
+        t_rows[::2] = self.times
+        t_rows[1::2] = self.times[:K] + dt / 2
+        self.disc = np.exp(-alpha * t_rows)
+        # per label, the face's corners flowed to every row: C[r] = e^{t_r Lambda_A}
+        self._corners = {}
+        for a in model.obs.labels:
+            d = len(model.faces[a])
+            flowed = model._sub[a].rows(np.tile(np.eye(d), (len(t_rows), 1)), np.repeat(t_rows, d))
+            self._corners[a] = flowed.reshape(len(t_rows), d, d)
         self.tail_start = {a: self._tail_start(a) for a in model.obs.labels}
         self._pre = {a: self._build(a) for a in model.obs.labels}
 
@@ -306,24 +315,11 @@ class BellmanOperator:
         for the n grid points of face a."""
         return max(TIME_CHUNK, CHUNK_BUDGET // self.grid.n_points(a))
 
-    def _flow(self, a, start: np.ndarray, n_rows: int) -> np.ndarray:
-        """n_rows rows of the half-step mesh from the node `start` on: node
-        k + 1 is node k times e^{dt Lambda_A} and midpoint k is node k times
-        e^{dt/2 Lambda_A}, both from the unclipped node."""
-        E, Eh = self._steps[a]
-        X = np.empty((n_rows,) + start.shape)
-        X[0] = start
-        for i in range(2, n_rows, 2):
-            X[i] = X[i - 2] @ E
-        X[1::2] = X[:-1:2] @ Eh
-        return X
-
     def _tail_start(self, a) -> int:
         """k_T of label a: one past the last node or midpoint whose flowed
         face corners, clipped and normalized, spread by more than TAIL_SPREAD
         in some coordinate (or have no mass), and at most K."""
-        d = len(self.model.faces[a])
-        P = np.maximum(self._flow(a, np.eye(d), 2 * self.K + 1), 0.0)
+        P = np.maximum(self._corners[a], 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             P /= P.sum(axis=2, keepdims=True)
         spread = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
@@ -349,22 +345,20 @@ class BellmanOperator:
         and past k_T the one chunk of the reference flow ("tail", empty for
         k_T = K) with the masses "w" that lift it onto the grid points."""
         K, k_tail = self.K, self.tail_start[a]
+        C, points = self._corners[a], self.grid.points[a]
         e = {"n": self.grid.n_points(a), "body": [], "tail": []}
-        start = self.grid.points[a]
         steps = self._chunk_steps(a)
         for k0 in range(0, k_tail + 1, steps):
             k1 = min(k0 + steps, k_tail + 1)
             # the mesh rows from node k0 through node k1 - 1 and its midpoint
-            # (none after node k_T), unclipped until _chunk clips them
-            X = self._flow(a, start, min(2 * k1, 2 * k_tail + 1) - 2 * k0)
-            last = X[::2][-1].copy()
-            start = last @ self._steps[a][0]
+            # (none after node k_T)
+            X = points @ C[2 * k0:min(2 * k1, 2 * k_tail + 1)]
             e["body"].append(self._chunk(a, X, k0, k1, 2 * k0))
         if k_tail < K:
-            P = np.maximum(last, 0.0)
+            P = np.maximum(points @ C[2 * k_tail], 0.0)
             e["w"] = P.sum(axis=1)
             y = P.sum(axis=0) / e["w"].sum()
-            X = self._flow(a, y[None, :], 2 * (K - k_tail) + 1)
+            X = y[None, :] @ C[:2 * (K - k_tail) + 1]
             e["tail"].append(self._chunk(a, X, k_tail + 1, K + 1, 2 * k_tail))
         return e
 

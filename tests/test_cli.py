@@ -311,17 +311,39 @@ def test_exit_time_rejects_bad_time_grid(tmp_path, capsys, key, value):
     assert not (out / "exit_time.csv").exists()
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("exit-time", "exit_time", "start"), ("stop", "stopping", "alpha"),
+    ("stability", "stability", "init_b"),
+])
+def test_missing_section_key_is_one_error_line(tmp_path, capsys, command, section, key):
+    # a KeyError traceback before: exit 1 and one line naming the section and the key
+    model = json.loads(Path(CYCLIC4).read_text())
+    del model[section][key]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main([command, "--model", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert section in err[0] and repr(key) in err[0], err
+
+
 COLD_START = """
 import json, sys
 from pdpfilter import cli, exit_survival_nonlinear_curve, transition_semigroup
 from pdpfilter.modelio import load_model
+from pdpfilter.stopping import BellmanOperator, FaceGrid, StoppingProblem
 
 def loaded():
     names = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.optimize")
     return [m for m in names if m in sys.modules]
 
-rate = load_model(sys.argv[1])["rate"]
+data = load_model(sys.argv[1])
+rate, model, section = data["rate"], data["model"], data["raw"]["stopping"]
 stages = [loaded()]
+BellmanOperator(model, FaceGrid(model, 4),
+                StoppingProblem(section["g"], section["l"], section["alpha"]))
+stages.append(loaded())
 transition_semigroup(rate, 1.0)
 stages.append(loaded())
 exit_survival_nonlinear_curve(rate, [0, 2], 0, [1.0])
@@ -337,8 +359,10 @@ def test_scipy_subpackages_load_on_first_use():
     done = subprocess.run([sys.executable, "-c", COLD_START, CYCLIC4], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    after_load, after_semigroup, after_exit_curve = json.loads(done.stdout)
+    after_load, after_build, after_semigroup, after_exit_curve = json.loads(done.stdout)
     assert after_load == []
+    # the stopping solver flows with the package propagator, not scipy's expm
+    assert after_build == ["scipy.sparse"]
     assert "scipy.linalg" in after_semigroup and "scipy.integrate" not in after_semigroup
     assert "scipy.integrate" in after_exit_curve
 

@@ -14,11 +14,11 @@ solve_value does, until a pass changes the values by less than the model's
 tol.  One row is printed per grid: the face sizes, the grid points per face,
 the mesh steps K + 1, each face's tail-start node k_T (K where the face has
 no tail), the build seconds, the MB that the operator retains (the nbytes of
-its tables, the tails' reference tables and masses included, and of the
-index, pointer and weight arrays of its sparse gathers), the number of
-passes and their median milliseconds, the contraction bound beta-bar of the
-operator, and ru_maxrss in MB after loading, after the build and after the
-passes.
+its tables, the tails' reference tables and masses and the per-label corner
+tables included, and of the index, pointer and weight arrays of its sparse
+gathers), the number of passes and their median milliseconds, the
+contraction bound beta-bar of the operator, and ru_maxrss in MB after
+loading, after the build and after the passes.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def measure(model_path: str, grid_m: int) -> dict:
     loaded = load_model(model_path)
     model, section = loaded["model"], loaded["raw"]["stopping"]
     prob = stopping.StoppingProblem(section["g"], section["l"], float(section["alpha"]))
-    tol = float(section.get("tol", 1e-6))
+    tol = float(section.get("tol", stopping.SOLVER_TOL))
     grid = stopping.FaceGrid(model, grid_m)
     labels = model.obs.labels
     row = {"grid": grid_m,
@@ -77,7 +77,8 @@ def measure(model_path: str, grid_m: int) -> dict:
     op = stopping.BellmanOperator(model, grid, prob)
     row["build_s"] = time.perf_counter() - t0
     row["rss_build_mb"] = maxrss_mb()
-    row["retained_mb"] = retained_bytes(op._pre) / 2**20
+    # an older tree's operator, without a corner table, counts none
+    row["retained_mb"] = retained_bytes((op._pre, getattr(op, "_corners", None))) / 2**20
     row["steps"] = op.K + 1
     row["k_tail"] = "+".join(str(op.tail_start[a]) for a in labels)
     values = stopping.psi_values(grid, prob)
