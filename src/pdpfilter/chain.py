@@ -274,10 +274,13 @@ def observe(path: PiecewisePath, obs: ObservationModel) -> PiecewisePath:
 
 
 def sub_generator(rate: RateMatrix, subset) -> np.ndarray:
-    """Restriction Lambda_A of the generator to rows and columns in A."""
+    """Restriction Lambda_A of the generator to rows and columns in A;
+    ValueError for a state that A lists twice."""
     idx = np.asarray(list(subset), dtype=np.intp)
     if len(idx) == 0:
         raise EmptySubset("subset must be nonempty")
+    if len(np.unique(idx)) < len(idx):
+        raise ValueError(f"subset repeats a state: {idx.tolist()}")
     return rate.entries[np.ix_(idx, idx)]
 
 

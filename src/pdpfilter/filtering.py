@@ -20,7 +20,7 @@ the face-local fluxes of FilterModel._flux) and one atom pick (_pick).
 
 A filter path is stored as arrays (FilterTrajectory).  run_filter fills
 them for one observation path and is the reference for run_filter_batch,
-which fills one array set for many paths, one jump at a time.  PathStack.rows
+which fills one array set for many paths, one jump at a time.  PathStack.points
 is the one evaluator along paths.  Every product of a row and a matrix is
 summed term by term (_col_times), never by BLAS, so that each path gets the
 same bits either way.
@@ -553,9 +553,9 @@ class PathStack:
     """Filter trajectories of one model as one array set, one np.concatenate
     per array: per segment its start time t0, label index, start row and
     end time t1 (the next start, or the horizon); trajectory p owns the
-    segments first[p] to first[p + 1] - 1.  `rows` is the one evaluator
-    along filter paths: the policy scan, its refinement and
-    cost_along_filter call it.
+    segments first[p] to first[p + 1] - 1.  `points` is the one evaluator
+    along filter paths: the policy scan, its refinement and the cost of the
+    policy Monte Carlo call it.
     """
 
     def __init__(self, trajs):
@@ -566,11 +566,12 @@ class PathStack:
         self.t1 = np.append(self.t0[1:], 0.0)
         self.t1[self.first[1:] - 1] = [tr.horizon for tr in trajs]
 
-    def rows(self, seg, dt):
-        """The rows x e^{dt Lambda_A} for the (segment, offset) pairs
-        (seg, dt), x the segment's start on its face A, with one
-        _SubExp.rows call per label.  Yields (label, the positions of its
-        pairs, their face rows); a row has the bits it has alone."""
+    def points(self, seg, dt):
+        """The flow points phi(dt, x) = _normalize_rows of x e^{dt Lambda_A}
+        for the (segment, offset) pairs (seg, dt), x the segment's start on
+        its face A, with one _SubExp.rows call per label.  Yields (label, the
+        positions of its pairs that still have flow mass, their points); a
+        point has the bits of value_at at t0 + dt, alone or in a batch."""
         model = self.model
         ids = self.ids[seg]
         for i, a in enumerate(model.obs.labels):
@@ -578,4 +579,6 @@ class PathStack:
             if on.size:
                 # row-major, as _SubExp.rows is batch-invariant on such rows
                 x = self.starts.take(seg[on], axis=0).take(model.faces[a], axis=1)
-                yield a, on, model._sub[a].rows(x, dt[on])
+                W = model._sub[a].rows(x, dt[on])
+                ok = W.sum(axis=1) > 0
+                yield a, on[ok], _normalize_rows(W[ok], dt[on[ok]])

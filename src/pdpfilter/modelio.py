@@ -30,7 +30,10 @@ class ModelFileError(ValueError):
 
 
 def load_model(path: str) -> dict:
-    """Load and validate a model file; returns a dict of constructed objects."""
+    """Load and validate a model file; returns a dict of constructed objects.
+
+    Raises ModelFileError, naming the key, where a per-state vector is
+    present without one entry per state."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -48,6 +51,11 @@ def load_model(path: str) -> dict:
     if missing:
         raise ModelFileError(f"observation missing states: {missing}")
     obs = ObservationModel.from_assignment(tuple(obs_map[s] for s in names))
+    for name in ("initial", "stopping.g", "stopping.l", "stability.init_a", "stability.init_b"):
+        *section, key = name.split(".")
+        vector = ((raw.get(section[0]) or {}) if section else raw).get(key)
+        if vector is not None and np.shape(vector) != (rate.n,):
+            raise ModelFileError(f"model file's {name} needs one entry per state ({rate.n})")
     initial = raw.get("initial")
     if initial is None:
         mu = Distribution(np.full(rate.n, 1.0 / rate.n))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import Distribution, RandomSource, observe, sample_chain
 from .filtering import (FaceMassVanished, FacePoint, FilterModel, FilterTrajectory, PathStack,
-                        _normalize_rows, _restrict)
+                        _restrict)
 
 DEFAULT_DT = 0.05  # mesh step of the Bellman operator and of the classical oracle
 DEFAULT_TAIL_TOL = 1e-7
@@ -66,7 +66,7 @@ CHUNK_BUDGET = 8 * 1024
 # and below which BellmanOperator flows them as one reference point: 64 ulps
 # of 1, below which hexa6's 4-state face stays from node 309 (t = 15.45) on
 TAIL_SPREAD = 64 * np.finfo(float).eps
-# nodes and weights of the 16-point Gauss-Legendre rule of cost_along_filter
+# nodes and weights of the 16-point Gauss-Legendre rule of the cost along a path
 GAUSS_LEGENDRE = np.polynomial.legendre.leggauss(16)
 
 
@@ -530,29 +530,30 @@ def value_general(mu: Distribution, v: ValueFunction) -> float:
 
 
 def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem) -> float:
-    """e^{-alpha tau} Pi_tau g + int_0^tau e^{-alpha s} Pi_s l ds.
+    """e^{-alpha tau} Pi_tau g + int_0^tau e^{-alpha s} Pi_s l ds: _costs of
+    the one-path stack.  tau = math.inf drops the g-term and integrates to
+    the horizon; ValueError for a finite tau outside [0, horizon]."""
+    return float(_costs(PathStack([traj]), [tau], prob)[0])
 
-    tau = math.inf drops the g-term and integrates to the trajectory horizon.
-    Segment integrals use chunked 16-point Gauss-Legendre on the smooth
-    closed-form flow; the nodes of all chunks on one label are propagated in
-    one batch.  Raises FaceMassVanished where x_A e^{t Lambda_A} underflows
-    at a node.
-    """
-    model = traj.model
-    alpha = prob.alpha
-    if math.isinf(tau):
-        t_end = traj.horizon
-        g_term = 0.0
-    else:
-        if tau < 0 or tau > traj.horizon + 1e-12:
-            raise ValueError("tau must lie in [0, horizon] or be infinite")
-        t_end = min(tau, traj.horizon)
-        fp = traj.value_at(t_end)
-        g_term = math.exp(-alpha * tau) * float(fp.x @ prob.g[model.faces[fp.label]])
+
+def _costs(stack: PathStack, taus, prob: StoppingProblem) -> np.ndarray:
+    """cost_along_filter of each trajectory of the stack at its tau.
+
+    Segment integrals use chunked 16-point Gauss-Legendre on the flow.  The
+    nodes of every chunk and the g-term points, those of value_at(tau), come
+    from one call of the stack's evaluator.  A trajectory's terms are
+    term-by-term products summed in time order, the g-term last, so its cost
+    has the bits it has alone.  Raises FaceMassVanished where x_A e^{t
+    Lambda_A} underflows at a node or at tau."""
+    model, alpha, t0 = stack.model, prob.alpha, stack.t0
+    taus = np.asarray(taus, dtype=float)
+    path = np.repeat(np.arange(len(taus)), np.diff(stack.first))
+    horizon = stack.t1[stack.first[1:] - 1]
+    if not ((taus >= 0) & ((taus <= horizon + 1e-12) | (taus == math.inf))).all():
+        raise ValueError("tau must lie in [0, horizon] or be infinite")
+    t_end = np.minimum(taus, horizon)
     nodes, weights = GAUSS_LEGENDRE
-    stack = PathStack([traj])
-    t0 = stack.t0
-    length = np.minimum(stack.t1, t_end) - t0
+    length = np.minimum(stack.t1, t_end[path]) - t0
     n_chunks = np.where(length > 0, np.maximum(1, np.ceil(length / 2.0)), 0).astype(np.int64)
     # chunk c of a segment spans [c, c + 1] * length / n_chunks
     seg, c = _ragged(n_chunks)
@@ -560,18 +561,22 @@ def cost_along_filter(traj: FilterTrajectory, tau: float, prob: StoppingProblem)
     lo = c * step
     half = 0.5 * (np.where(c + 1 == n_chunks[seg], length[seg], (c + 1) * step) - lo)[:, None]
     ts = (lo[:, None] + half * (nodes + 1.0)).ravel()
-    wq = (half * weights).ravel()
     seg = np.repeat(seg, len(nodes))
-    total = 0.0
-    for a, on, W in stack.rows(seg, ts):
-        W = np.clip(W, 0.0, None)
-        mass = W.sum(axis=1)
-        at = t0[seg[on]] + ts[on]
-        vanished = ~(mass > 0)
-        if vanished.any():
-            raise FaceMassVanished(f"flow mass 0 on face {a!r} at t={at[vanished][0]}")
-        total += float((wq[on] * np.exp(-alpha * at)) @ ((W @ prob.l[model.faces[a]]) / mass))
-    return total + g_term
+    # a finite tau's g-term is at the last segment that starts by t_end, as in value_at
+    fin = np.flatnonzero(taus < math.inf)
+    held = stack.first[fin] + np.bincount(path[t0 <= t_end[path]])[fin] - 1
+    coef = np.concatenate([(half * weights).ravel() * np.exp(-alpha * (t0[seg] + ts)),
+                           np.exp(-alpha * taus[fin])])
+    n, seg, dt = len(ts), np.concatenate([seg, held]), np.concatenate([ts, t_end[fin] - t0[held]])
+    vals = np.full(len(seg), np.nan)
+    for a, on, X in stack.points(seg, dt):
+        face = model.faces[a]
+        vals[on] = (X * np.where((on < n)[:, None], prob.l[face], prob.g[face])).sum(axis=1)
+    if np.isnan(vals).any():
+        k = int(np.argmax(np.isnan(vals)))  # the first pair without flow mass
+        raise FaceMassVanished(f"flow mass 0 on face {model.obs.labels[stack.ids[seg[k]]]!r} "
+                               f"at t={t0[seg[k]] + dt[k]}")
+    return np.bincount(path[seg], weights=coef * vals, minlength=len(taus))
 
 
 def _ragged(counts: np.ndarray):
@@ -592,12 +597,12 @@ class StoppingPolicy:
         self.prob = value.problem
         self.eps = float(eps)
         self.model = value.grid.model
-        # indices of the labels whose sub-generator is scalar: the flow (and
-        # the margin) is constant on their faces
+        # indices of the labels whose sub-generator is scalar, up to 1e-14 in
+        # every entry: the flow (and the margin) is constant on their faces
         self._frozen = []
         for i, a in enumerate(self.model.obs.labels):
             M = self.model._sub[a].matrix
-            if np.allclose(M, M[0, 0] * np.eye(len(M)), atol=1e-14):
+            if np.allclose(M, M[0, 0] * np.eye(len(M)), rtol=0.0, atol=1e-14):
                 self._frozen.append(i)
 
     def should_stop(self, fp: FacePoint) -> bool:
@@ -611,11 +616,10 @@ class StoppingPolicy:
         return (X * g).sum(axis=1) - self.value.batch(label, X) - self.eps
 
     def _flow_margins(self, stack: PathStack, seg: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Margins at the stack's flowed points (seg, dt), NaN where no mass is left."""
+        """Margins at the stack's flow points (seg, dt), NaN where no mass is left."""
         out = np.full(len(seg), np.nan)
-        for a, on, W in stack.rows(seg, dt):
-            ok = W.sum(axis=1) > 0
-            out[on[ok]] = self._margins(a, _normalize_rows(W[ok], dt[on[ok]]))
+        for a, on, X in stack.points(seg, dt):
+            out[on] = self._margins(a, X)
         return out
 
     def first_entry(self, traj: FilterTrajectory) -> float:
@@ -740,12 +744,13 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     The paths are filtered and scanned in chunks of MC_CHUNK: one
     run_filter_batch, which fills one array set for the chunk, and one
     policy.first_entries(trajs), which scans it through one evaluator and
-    returns the stopping time of each trajectory (inf for never); then
-    cost_along_filter per path.  A policy that has only first_entry(traj)
-    is run path by path instead, through run_filter.  Both ways give every
-    path the bits it has alone, so (mean, stderr) do not depend on the
-    chunk.  Stopping is censored at the horizon (tau treated as infinite),
-    valid when tail_cost_bound(prob, horizon) is negligible.
+    returns the stopping time of each trajectory (inf for never); then one
+    cost call over the chunk's stack (_costs).  A policy that has only
+    first_entry(traj) is run path by path instead, through run_filter and
+    cost_along_filter.  Both ways give every path the bits it has alone, so
+    (mean, stderr) do not depend on the chunk.  Stopping is censored at the
+    horizon (tau treated as infinite), valid when tail_cost_bound(prob,
+    horizon) is negligible.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
@@ -758,12 +763,14 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
                for r in chunk]
         if hasattr(policy, "first_entries"):
             trajs = model.run_filter_batch(obs, mu)
-            taus = policy.first_entries(trajs)
+            taus = np.array(policy.first_entries(trajs))
+            taus[taus > horizon] = math.inf
+            costs[chunk.start:chunk.stop] = _costs(PathStack(trajs), taus, prob)
         else:
-            trajs = [model.run_filter(y, mu) for y in obs]
-            taus = [policy.first_entry(traj) for traj in trajs]
-        for r, traj, tau in zip(chunk, trajs, taus):
-            costs[r] = cost_along_filter(traj, math.inf if tau > horizon else tau, prob)
+            for r, y in zip(chunk, obs):
+                traj = model.run_filter(y, mu)
+                tau = policy.first_entry(traj)
+                costs[r] = cost_along_filter(traj, math.inf if tau > horizon else tau, prob)
     mean = float(costs.mean())
     stderr = float(costs.std(ddof=1) / math.sqrt(n_sims)) if n_sims > 1 else 0.0
     return mean, stderr

@@ -35,7 +35,7 @@ from pdpfilter import (
     verify_variational,
 )
 from pdpfilter.cli import main, run_from_manifest
-from pdpfilter.filtering import _normalize_rows, _rk4_flow_batch
+from pdpfilter.filtering import _rk4_flow_batch
 from pdpfilter.pdp import pdp_check_statistics
 from pdpfilter.stopping import ValueFunction, psi_values
 from conftest import pdp5_model, random_face_point, random_observation, random_rate_matrix
@@ -141,8 +141,8 @@ def test_criterion_3_filtering_identity(cyclic4):
                               for f, traj in zip(stack.first, trajs)])
         dt = at - stack.t0[seg]
         points = np.zeros((len(seg), 4))
-        for a, on, W in stack.rows(seg, dt):
-            points[on[:, None], cyclic4.faces[a]] = _normalize_rows(W, dt[on])
+        for a, on, X in stack.points(seg, dt):
+            points[on[:, None], cyclic4.faces[a]] = X
         pi[first:first + chunk] = points.reshape(chunk, len(t_checks), 4)
         for r, path, y in zip(range(first, first + chunk), paths, ys):
             t1[r] = y.jump_times[0] if y.jump_times else math.inf

@@ -173,6 +173,16 @@ class TestSubGenerator:
         with pytest.raises(EmptySubset):
             sub_generator(rate, [])
 
+    def test_repeated_state(self):
+        # [0, 0, 2] held state 0 twice, and the exit-time oracle read its
+        # survival off that matrix without an error
+        rate = validate_generator(CYCLIC4_GENERATOR)
+        for subset in ([0, 0, 2], [2, 0, 2]):
+            with pytest.raises(ValueError, match="repeats"):
+                sub_generator(rate, subset)
+        with pytest.raises(ValueError, match="repeats"):
+            exit_survival_oracle(rate, [0, 0, 2], 0, 0.01)
+
 
 class TestExitSurvivalOracle:
     def test_t_zero(self):

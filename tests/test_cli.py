@@ -328,6 +328,48 @@ def test_missing_section_key_is_one_error_line(tmp_path, capsys, command, sectio
     assert section in err[0] and repr(key) in err[0], err
 
 
+@pytest.mark.parametrize("command, lengths", [
+    ("validate", {"initial": 2}), ("filter", {"initial": 2}),
+    ("validate", {"initial": 5}), ("filter", {"initial": 5}),
+    ("stop", {"stopping.g": 3, "stopping.l": 3}), ("stop", {"stopping.g": 5, "stopping.l": 5}),
+    ("stability", {"stability.init_b": 2}), ("stability", {"stability.init_a": 5}),
+])
+def test_per_state_vector_of_wrong_length_is_invalid(tmp_path, capsys, command, lengths):
+    # on cyclic4 (4 states): validate passed such a file, and the others died
+    # with a traceback or read the first 4 entries and exited 0
+    model = json.loads(Path(CYCLIC4).read_text())
+    for name, n in lengths.items():
+        *section, key = name.split(".")
+        (model[section[0]] if section else model)[key] = [1.0 / n] * n
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    flags = ["--sims", "5", "--horizon", "2", "--grid", "4"] if command == "stop" else []
+    rc = main([command, "--model", str(path), "--out", str(out)] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and any(name in err[0] for name in lengths), err
+    if command == "validate":
+        assert not json.loads((out / "report.json").read_text())["valid"]
+    else:
+        assert err[0].startswith("error:"), err
+
+
+def test_exit_time_rejects_a_repeated_subset_state(tmp_path, capsys):
+    # subset [s1, s1, s3] built a sub-generator that held s1 twice and wrote
+    # survival 0.98020 at t = 0.01, where [s1, s3] gives 0.99005
+    model = json.loads(Path(CYCLIC4).read_text())
+    model["exit_time"]["subset"] = ["s1", "s1", "s3"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    rc = main(["exit-time", "--model", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "repeats" in err[0], err
+    assert not (out / "exit_time.csv").exists()
+
+
 COLD_START = """
 import json, sys
 from pdpfilter import cli, exit_survival_nonlinear_curve, transition_semigroup

@@ -15,6 +15,7 @@ from pdpfilter import (
     FilterTrajectory,
     NoConvergence,
     ObservationModel,
+    PathStack,
     PiecewisePath,
     RandomSource,
     StoppingPolicy,
@@ -188,6 +189,16 @@ class TestCostAlongFilter:
         prob = StoppingProblem(g=np.zeros(4), l=np.ones(4), alpha=0.5)
         expected = (1 - math.exp(-0.5 * 3.0)) / 0.5
         assert abs(cost_along_filter(traj, math.inf, prob) - expected) < 1e-10
+
+
+    def test_tau_outside_the_horizon(self, cyclic4, uniform4):
+        traj = self.make_traj(cyclic4, uniform4)
+        for tau in (-0.1, traj.horizon + 1e-9):
+            with pytest.raises(ValueError):
+                cost_along_filter(traj, tau, PROB4)
+        # within 1e-12 past the horizon the path ends at the horizon
+        late = cost_along_filter(traj, traj.horizon + 1e-13, PROB4)
+        assert abs(late - cost_along_filter(traj, traj.horizon, PROB4)) < 1e-12
 
 
 class TestBellman:
@@ -576,7 +587,7 @@ class TestPolicy:
         runs = [
             (stopping_rule(solve_value(hexa6, prob6, FaceGrid(hexa6, 8), tol=1e-6)),
              Distribution(np.full(6, 1.0 / 6)), prob6, 25, RandomSource(1, 901).stream(0),
-             (1.2590524903249642, 0.045733579826795545)),
+             (1.2590524903249645, 0.04573357982679551)),
             (stopping_rule(solved4), Distribution([0.5, 0.1, 0.2, 0.2]), PROB4, 150,
              RandomSource(54), (1.388842088814382, 0.012496220253558045)),
         ]
@@ -737,7 +748,7 @@ def reference_first_entry(policy, traj, time_tol=1e-8, scan_step=0.02):
         if policy.should_stop(fp):
             return t0
         sub = policy.model._sub[fp.label].matrix
-        if np.allclose(sub, sub[0, 0] * np.eye(len(sub)), atol=1e-14):
+        if np.allclose(sub, sub[0, 0] * np.eye(len(sub)), rtol=0.0, atol=1e-14):
             continue
         length = t1 - t0
         if length <= 0:
@@ -900,6 +911,25 @@ def test_first_entry_is_a_stopping_point_on_a_flat_crossing():
     assert policy.should_stop(traj.value_at(tau))
 
 
+def test_first_entry_scans_a_face_whose_exit_rates_differ_by_a_little():
+    # face a's diagonal rates differ by 5e-6 relative: np.allclose's default
+    # rtol called the face frozen, so the scan saw only the segment start
+    # (margin +2.0e-5) and returned inf, where the margin is -5.0e-6 at t = 10
+    rate = validate_generator([[-1, 0, 1], [0, -1.000005, 1.000005], [0.5, 0.5, -1]])
+    model = FilterModel(rate, ObservationModel.from_assignment(("a", "a", "b")))
+    traj = model.run_filter(PiecewisePath("a", (), 40.0),
+                            Distribution([0.5 - 1e-5, 0.5 + 1e-5, 0.0]))
+    prob = StoppingProblem(g=np.zeros(3), l=np.ones(3), alpha=0.5)
+    grid = FaceGrid(model, 1)
+    values = {"a": grid.points["a"] @ np.array([1.0, -1.0]), "b": np.zeros(1)}
+    policy = StoppingPolicy(ValueFunction(grid, values, prob), 1e-12)
+    assert not policy.should_stop(traj.value_at(0.0))
+    assert policy.should_stop(traj.value_at(10.0))
+    tau = policy.first_entry(traj)
+    assert abs(tau - 7.9999996) < 1e-6, tau
+    assert policy.should_stop(traj.value_at(tau))
+
+
 def test_first_entry_takes_the_earlier_of_two_entries_in_one_scan_cell():
     # face a = {0, 1}: the filter moves from (1, 0) toward state 1, so
     # nu_1(t) increases.  The margin, set on a fine grid as a function of
@@ -998,6 +1028,11 @@ def test_store_is_one_across_its_producers(policy6):
             assert cost_along_filter(traj, t, prob) == cost_along_filter(twin, t, prob)
     for a, b in zip(sliced, alone):
         assert cost_along_filter(a, math.inf, prob) == cost_along_filter(b, math.inf, prob)
+    # the chunk's cost, from one call over its stack, has each path's bits
+    stack = PathStack(mixed)
+    for at in (taus, [math.inf] * len(mixed)):
+        chunk = stopping._costs(stack, at, prob)
+        assert chunk.tolist() == [cost_along_filter(traj, t, prob) for traj, t in zip(mixed, at)]
 
 
 def underflow_model():
