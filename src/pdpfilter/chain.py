@@ -2,11 +2,12 @@
 
 States are indexed 0..n-1.  Measures follow the row-vector convention
 (``mu @ Q`` advances a measure), functions are column vectors (``Q @ f``).
-The matrix exponential is computed with scipy.linalg.expm, i.e. Pade
-scaling-and-squaring; the state spaces here are small and dense, so no
-uniformization path is provided.  `expm` imports scipy.linalg on its first
-call, not with the package, so that a model whose faces all diagonalize is
-loaded and filtered with numpy alone.
+The matrix exponential of the semigroup and the exit-time oracle is
+computed with scipy.linalg.expm, i.e. Pade scaling-and-squaring; the state
+spaces here are small and dense, so no uniformization path is provided.
+`expm` imports scipy.linalg on its first call, not with the package, and
+the filter's propagator (filtering._SubExp) never calls it, so every model
+is loaded and filtered with numpy alone.
 """
 
 from __future__ import annotations

@@ -64,11 +64,12 @@ def _file_sha256(path: str):
         return None
 
 
-def _write_manifest(out, command, config, stages=None, **telemetry):
+def _write_manifest(out, command, config, stages=None, model=None, **telemetry):
     """manifest.json of a run.  Its telemetry (run health, not replayed: the
-    given keys, the wall seconds of each stage and the numpy, scipy and
-    Python versions) goes here only, so that the other outputs of a replay
-    stay byte-identical."""
+    given keys, each label's propagator, "eigen" where the FilterModel's face
+    diagonalizes and "taylor" where it does not, the wall seconds of each
+    stage and the numpy, scipy and Python versions) goes here only, so that
+    the other outputs of a replay stay byte-identical."""
     payload = {
         "command": command,
         "config": config,
@@ -78,7 +79,8 @@ def _write_manifest(out, command, config, stages=None, **telemetry):
     if stages is not None:
         marks = list(stages.items())
         seconds = {name: t - prev for (_, prev), (name, t) in zip(marks, marks[1:])}
-        payload["telemetry"] = {**telemetry, "stages_s": seconds,
+        propagator = {str(a): "eigen" if sub.ok else "taylor" for a, sub in model._sub.items()}
+        payload["telemetry"] = {**telemetry, "propagator": propagator, "stages_s": seconds,
                                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__,
                                              "python": platform.python_version()}}
     write_json(os.path.join(out, "manifest.json"), payload)
@@ -147,7 +149,7 @@ def cmd_simulate(args) -> int:
     write_csv(os.path.join(out, "chain.csv"), ["time", "value"], path_rows(chain))
     write_csv(os.path.join(out, "observation.csv"), ["time", "value"], path_rows(obs_path))
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "simulate", _config_of(args), stages)
+    _write_manifest(out, "simulate", _config_of(args), stages, loaded["model"])
     return EXIT_OK
 
 
@@ -176,7 +178,7 @@ def cmd_filter(args) -> int:
     }
     write_json(os.path.join(out, "summary.json"), summary)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "filter", _config_of(args), stages)
+    _write_manifest(out, "filter", _config_of(args), stages, loaded["model"])
     return EXIT_OK
 
 
@@ -202,7 +204,7 @@ def cmd_exit_time(args) -> int:
     ]
     write_csv(os.path.join(out, "exit_time.csv"), ["t", "nonlinear", "oracle", "abs_diff"], rows)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "exit-time", _config_of(args), stages)
+    _write_manifest(out, "exit-time", _config_of(args), stages, loaded["model"])
     return EXIT_OK
 
 
@@ -224,7 +226,7 @@ def cmd_pdp_check(args) -> int:
     write_json(os.path.join(out, "pdp_check.json"), {"statistics": stats,
                                                      "all_pass": all(s["pass"] for s in stats)})
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "pdp-check", _config_of(args), stages)
+    _write_manifest(out, "pdp-check", _config_of(args), stages, loaded["model"])
     return EXIT_OK
 
 
@@ -287,7 +289,7 @@ def cmd_stop(args) -> int:
     op = vf._operator
     tail_start_t = {str(a): float(op.times[k]) if k < op.K else None
                     for a, k in op.tail_start.items()}
-    _write_manifest(out, "stop", _config_of(args), stages,
+    _write_manifest(out, "stop", _config_of(args), stages, loaded["model"],
                     solver={"sweep_deltas": deltas, "delta_ratios": ratios},
                     tail_start_t=tail_start_t)
     return EXIT_OK
@@ -318,7 +320,7 @@ def cmd_stability(args) -> int:
     stages["distances"] = time.perf_counter()
     write_csv(os.path.join(out, "stability.csv"), ["t", "l1_distance"], rows)
     stages["write"] = time.perf_counter()
-    _write_manifest(out, "stability", _config_of(args), stages)
+    _write_manifest(out, "stability", _config_of(args), stages, loaded["model"])
     return EXIT_OK
 
 

@@ -208,6 +208,19 @@ class TestStop:
                 assert bounds[0] <= tail[label] <= bounds[1]
         assert "tail_start_t" not in (tmp_path / "solution.json").read_text()
 
+    @pytest.mark.parametrize("model, propagator", [
+        # hexa6's face b, an Erlang pair, has no eigenbasis
+        (HEXA6, {"a": "eigen", "b": "taylor"}),
+        (CYCLIC4, {"0": "eigen", "1": "eigen"}),
+    ], ids=["hexa6", "cyclic4"])
+    def test_manifest_telemetry_names_each_face_propagator(self, tmp_path, model, propagator):
+        rc = main(["stop", "--model", str(model), "--out", str(tmp_path),
+                   "--sims", "10", "--horizon", "10", "--grid", "4"])
+        assert rc == 0
+        telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
+        assert telemetry["propagator"] == propagator
+        assert "propagator" not in (tmp_path / "solution.json").read_text()
+
     def test_manifest_telemetry_has_stage_times_and_versions(self, tmp_path):
         rc = main(["stop", "--model", CYCLIC4, "--out", str(tmp_path),
                    "--sims", "20", "--horizon", "20", "--grid", "8"])
@@ -233,7 +246,8 @@ def test_manifest_telemetry_has_stage_times_per_command(tmp_path, command, flags
     rc = main([command, "--model", CYCLIC4, "--out", str(tmp_path)] + flags)
     assert rc == 0
     telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
-    assert set(telemetry) == {"stages_s", "versions"}
+    assert set(telemetry) == {"propagator", "stages_s", "versions"}
+    assert telemetry["propagator"] == {"0": "eigen", "1": "eigen"}
     assert set(telemetry["stages_s"]) == names
     assert all(s >= 0.0 for s in telemetry["stages_s"].values())
     assert set(telemetry["versions"]) == {"numpy", "scipy", "python"}
@@ -394,19 +408,33 @@ print(json.dumps(stages))
 """
 
 
-def test_scipy_subpackages_load_on_first_use():
-    # a fresh interpreter: the package and a model whose faces all
-    # diagonalize need numpy and top-level scipy only
+def cold_start(model):
+    """The scipy subpackages loaded at each stage of COLD_START on model, run
+    in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", COLD_START, CYCLIC4], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", COLD_START, model], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    after_load, after_build, after_semigroup, after_exit_curve = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_scipy_subpackages_load_on_first_use():
+    # the package and a model whose faces all diagonalize need numpy and
+    # top-level scipy only
+    after_load, after_build, after_semigroup, after_exit_curve = cold_start(CYCLIC4)
     assert after_load == []
     # the stopping solver flows with the package propagator, not scipy's expm
     assert after_build == ["scipy.sparse"]
     assert "scipy.linalg" in after_semigroup and "scipy.integrate" not in after_semigroup
     assert "scipy.integrate" in after_exit_curve
+
+
+def test_defective_face_loads_no_scipy_subpackage():
+    # hexa6's face b has no eigenbasis: its propagator sums its own Taylor
+    # terms for e^{hM}, so neither the load nor the solver needs scipy.linalg
+    after_load, after_build = cold_start(str(HEXA6))[:2]
+    assert after_load == []
+    assert after_build == ["scipy.sparse"]
 
 
 @pytest.mark.parametrize("command, flag", [

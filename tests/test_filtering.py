@@ -197,6 +197,19 @@ def test_defective_propagator_matches_expm(matrix):
                                    rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("matrix", DEFECTIVE_FACES)
+def test_defective_base_is_the_taylor_sum(matrix):
+    # e^{hM}, the base of every digit table, is the sum of the cached Taylor
+    # terms; it agrees with scipy's expm to a few ulps of its largest entry
+    from scipy.linalg import expm
+
+    matrix = np.array(matrix)
+    sub = _SubExp(matrix)
+    base = sub.rows(np.eye(len(matrix)), sub.step)  # k = 1, s = 0: the digit e^{hM}
+    expected = expm(sub.step * matrix)
+    assert np.abs(base - expected).max() <= 4 * np.spacing(np.abs(expected).max())
+
+
 class TestFlowOde:
     def test_t_zero(self):
         model = three_state_model()
