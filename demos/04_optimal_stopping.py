@@ -27,6 +27,7 @@ from pdpfilter import (
     value_general,
     verify_variational,
 )
+from pdpfilter.stopping import psi_values
 
 rate = validate_generator([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [1, 0, 0, -1]])
 obs = ObservationModel.from_assignment(("1", "0", "1", "0"))
@@ -38,13 +39,12 @@ vf = solve_value(model, prob, FaceGrid(model, 64), tol=1e-6)
 print(f"value iteration: {vf.info['iterations']} Gauss-Seidel passes, residual {vf.info['residual']:.2e}")
 
 policy = stopping_rule(vf)
+psi = psi_values(vf.grid, prob)
 for a in model.obs.labels:
-    pts = vf.grid.points[a]
-    psi = pts @ prob.g[model.faces[a]]
-    contact = psi <= vf.values[a] + policy.eps
+    contact = psi[a] <= vf.values[a] + policy.eps
     print(f"face '{a}': contact set covers {contact.mean():.0%} of the grid")
 
-report = verify_variational(vf, prob)
+report = verify_variational(vf)
 print(f"variational inequalities: pass={report['pass']} "
       f"(obstacle {report['obstacle_violation']:.1e}, "
       f"continuation {report['continuation_violation']:.1e})")

@@ -81,8 +81,10 @@ class RateMatrix:
         return self.entries.shape[0]
 
     def _jump_tables(self):
-        """Per-state exit rates and cumulative jump probabilities, cached for
-        the sampler as Python lists, which it searches with bisect."""
+        """Per-state exit rates, cumulative jump probabilities and the last
+        state each row can jump to, cached for the sampler as Python lists;
+        it searches a row with bisect and caps the pick at that state, as
+        filtering._pick does."""
         tables = self._cache.get("jump")
         if tables is None:
             m = self.entries
@@ -92,7 +94,8 @@ class RateMatrix:
             with np.errstate(invalid="ignore", divide="ignore"):
                 probs = probs / np.where(rates > 0, rates, 1.0)[:, None]
             cum = np.cumsum(probs, axis=1)
-            tables = (rates.tolist(), cum.tolist())
+            last = self.n - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+            tables = (rates.tolist(), cum.tolist(), last.tolist())
             self._cache["jump"] = tables
         return tables
 
@@ -239,12 +242,17 @@ def sample_chain(rate: RateMatrix, mu: Distribution, horizon: float, rng: Random
     """Exact CTMC sampling: hold Exp(-lambda_ii), jump with probability lambda_ij / (-lambda_ii).
 
     States with zero diagonal rate never jump (censored at the horizon).
+    Each pick is capped at the last state of positive probability, so a
+    uniform in the rounding gap at the end of a cumulative sum picks that
+    state, not one of probability zero.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
-    rates, cum = rate._jump_tables()
-    initial = min(bisect_right(np.cumsum(mu.weights).tolist(), gen.random()), rate.n - 1)
+    rates, cum, last = rate._jump_tables()
+    w = mu.weights
+    initial = min(bisect_right(np.cumsum(w).tolist(), gen.random()),
+                  len(w) - 1 - int(np.argmax(w[::-1] > 0)))
     state = initial
     jumps = []
     t = 0.0
@@ -255,7 +263,7 @@ def sample_chain(rate: RateMatrix, mu: Distribution, horizon: float, rng: Random
         t += gen.exponential(1.0 / lam)
         if t >= horizon:
             break
-        state = min(bisect_right(cum[state], gen.random()), rate.n - 1)
+        state = min(bisect_right(cum[state], gen.random()), last[state])
         jumps.append((t, state))
     return PiecewisePath(initial_value=initial, jumps=tuple(jumps), horizon=horizon)
 

@@ -37,6 +37,7 @@ from .stopping import (
     StoppingProblem,
     contraction_bound,
     evaluate_policy_mc,
+    psi_values,
     solve_value,
     stopping_rule,
     tail_cost_bound,
@@ -135,16 +136,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _simulate_paths(loaded, args):
-    rng = RandomSource(args.seed)
-    chain = sample_chain(loaded["rate"], loaded["initial"], args.horizon, rng)
+def _simulate_paths(loaded, args, law):
+    """A chain path from the law to --horizon on stream --seed, and its observation."""
+    chain = sample_chain(loaded["rate"], law, args.horizon, RandomSource(args.seed))
     obs_path = observe(chain, loaded["obs"])
     return chain, obs_path
 
 
 def cmd_simulate(args) -> int:
     out, loaded, stages = _load(args)
-    chain, obs_path = _simulate_paths(loaded, args)
+    chain, obs_path = _simulate_paths(loaded, args, loaded["initial"])
     stages["sample"] = time.perf_counter()
     write_csv(os.path.join(out, "chain.csv"), ["time", "value"], path_rows(chain))
     write_csv(os.path.join(out, "observation.csv"), ["time", "value"], path_rows(obs_path))
@@ -156,7 +157,7 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     out, loaded, stages = _load(args)
     model = loaded["model"]
-    chain, obs_path = _simulate_paths(loaded, args)
+    chain, obs_path = _simulate_paths(loaded, args, loaded["initial"])
     stages["sample"] = time.perf_counter()
     traj = model.run_filter(obs_path, loaded["initial"])
     stages["filter"] = time.perf_counter()
@@ -243,18 +244,14 @@ def cmd_stop(args) -> int:
     resolution = int(section.get("grid_resolution", 32)) if args.grid is None else args.grid
     tol = float(section.get("tol", SOLVER_TOL)) if args.tol is None else args.tol
     grid = FaceGrid(model, resolution)
-    try:
-        vf = solve_value(model, prob, grid, tol=tol)
-    except NoConvergence as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    vf = solve_value(model, prob, grid, tol=tol)
     stages["solve"] = time.perf_counter()
     mu = loaded["initial"]
     v_mu = value_general(mu, vf)
     stages["value_general"] = time.perf_counter()
     beta_bound = contraction_bound(vf._operator)
     stages["contraction_bound"] = time.perf_counter()
-    report = verify_variational(vf, prob)
+    report = verify_variational(vf)
     stages["verify_variational"] = time.perf_counter()
     policy = stopping_rule(vf)
     mc_mean, mc_stderr = evaluate_policy_mc(mu, policy, prob, args.sims, args.horizon,
@@ -265,7 +262,8 @@ def cmd_stop(args) -> int:
         "residual": vf.info["residual"],
         "iterations": vf.info["iterations"],
         "beta_bound": beta_bound,
-        "error_bound": vf.info["residual"] / (1.0 - beta_bound),
+        # residual / (1 - beta-bar) bounds the distance to the fixed point only for beta-bar < 1
+        "error_bound": vf.info["residual"] / (1.0 - beta_bound) if beta_bound < 1.0 else None,
         "mc_mean": mc_mean,
         "mc_stderr": mc_stderr,
         "mc_censoring_bias_bound": tail_cost_bound(prob, args.horizon),
@@ -273,11 +271,9 @@ def cmd_stop(args) -> int:
     }
     write_json(os.path.join(out, "solution.json"), solution)
     rows = []
+    psi = psi_values(grid, prob)
     for a in model.obs.labels:
-        face = model.faces[a]
-        pts = grid.points[a]
-        vals = vf.values[a]
-        obstacle = pts @ prob.g[face]
+        pts, vals, obstacle = grid.points[a], vf.values[a], psi[a]
         for r in range(len(pts)):
             coords = ";".join(fmt(c) for c in pts[r])
             in_contact = bool(obstacle[r] <= vals[r] + policy.eps)
@@ -301,16 +297,10 @@ def cmd_stability(args) -> int:
     section = _section(loaded, "stability", "init_a", "init_b")
     init_a = Distribution(section["init_a"])
     init_b = Distribution(section["init_b"])
-    rng = RandomSource(args.seed)
-    chain = sample_chain(loaded["rate"], init_a, args.horizon, rng)
-    obs_path = observe(chain, loaded["obs"])
+    _, obs_path = _simulate_paths(loaded, args, init_a)
     stages["sample"] = time.perf_counter()
-    try:
-        traj_a = model.run_filter(obs_path, init_a)
-        traj_b = model.run_filter(obs_path, init_b)
-    except DegenerateJump as exc:
-        print(f"filter degenerate: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    traj_a = model.run_filter(obs_path, init_a)
+    traj_b = model.run_filter(obs_path, init_b)
     stages["filter"] = time.perf_counter()
     times = sorted(set(np.arange(0.0, args.horizon + 1e-9, 0.05)) | set(traj_a.jump_times))
     rows = [

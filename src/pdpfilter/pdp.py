@@ -297,7 +297,10 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
     Simulation r samples the chain on stream r of RandomSource(seed), and the
     PDP's first jump from the first two draws of stream n_sims + r: the draws
     simulate_pdp spends on its first jump, so the sample is the same.
+    Raises ValueError for n_sims < 1.
     """
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     pdp = BeliefPdp(model)
     labels = model.obs.labels
     a0 = next(a for a in labels if mu.weights[model.faces[a]].sum() > 0)

@@ -201,6 +201,13 @@ class ValueFunction:
         return float(self.batch(fp.label, fp.x[None, :])[0])
 
 
+def _own_problem(v: ValueFunction) -> StoppingProblem:
+    """The stopping problem v was solved or made for; ValueError for a v that carries none."""
+    if v.problem is None:
+        raise ValueError("value function carries no stopping problem")
+    return v.problem
+
+
 def psi_values(grid: FaceGrid, prob: StoppingProblem) -> dict:
     """Obstacle psi(nu) = nu g on the grid."""
     out = {}
@@ -446,7 +453,7 @@ class BellmanOperator:
 
 
 def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
-                tol: float = SOLVER_TOL, max_iter: int = MAX_ITER) -> ValueFunction:
+                tol: float = SOLVER_TOL) -> ValueFunction:
     """Gauss-Seidel value iteration from the obstacle psi.
 
     A pass updates the labels in the order of model.obs.labels, each with
@@ -457,16 +464,14 @@ def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
     "residual" the sup-norm of T v - v for the values v returned, from one
     apply.  Each pass whose change is below tol is followed by that apply,
     and the solve returns at the first one whose residual is below tol too.
-    Raises ValueError for a tol that is not positive or a max_iter below 1,
-    and NoConvergence when max_iter passes end without it."""
+    Raises ValueError for a tol that is not positive, and NoConvergence
+    when MAX_ITER passes end without it."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     op = BellmanOperator(model, grid, prob)
     values = psi_values(grid, prob)
     deltas = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         delta = 0.0
         for a in model.obs.labels:
             new = op.update(values, a)
@@ -479,7 +484,7 @@ def solve_value(model: FilterModel, prob: StoppingProblem, grid: FaceGrid,
             if residual < tol:
                 break
     else:
-        raise NoConvergence(f"no convergence in {max_iter} passes (last change {deltas[-1]})")
+        raise NoConvergence(f"no convergence in {MAX_ITER} passes (last change {deltas[-1]})")
     info = {
         "iterations": iterations,
         "residual": residual,
@@ -591,10 +596,8 @@ class StoppingPolicy:
     {nu : nu g <= v(nu) + eps}."""
 
     def __init__(self, value: ValueFunction, eps: float):
-        if value.problem is None:
-            raise ValueError("value function carries no stopping problem")
         self.value = value
-        self.prob = value.problem
+        self.prob = _own_problem(value)
         self.eps = float(eps)
         self.model = value.grid.model
         # indices of the labels whose sub-generator is scalar, up to 1e-14 in
@@ -783,18 +786,21 @@ def tail_cost_bound(prob: StoppingProblem, t: float) -> float:
     return math.exp(-prob.alpha * t) * (g_max + l_max / prob.alpha)
 
 
-def verify_variational(v: ValueFunction, prob: StoppingProblem) -> dict:
-    """Check u <= psi and u <= continue-to-t-then-u, up to VARIATIONAL_TOL,
-    on the grid at the operator's check times (DEFAULT_CHECK_TIMES clamped to T_max).
+def verify_variational(v: ValueFunction) -> dict:
+    """Check u <= psi and u <= continue-to-t-then-u for v's own problem, up
+    to VARIATIONAL_TOL, on the grid at the operator's check times
+    (DEFAULT_CHECK_TIMES clamped to T_max); ValueError for a v that carries
+    no problem.
 
     The continuation expectation uses the same single-jump quadrature as the
     Bellman operator; the one-jump truncation bound (tail_cost_bound at
     T_max) is reported.  Maximality of v among solutions is NOT checked.  The
     operator is the one v was solved with, or, for a hand-made v, one built
-    for prob.  The check times are branches of that operator, so for a
+    for v.problem.  The check times are branches of that operator, so for a
     solved v both inequalities hold up to its residual: the check confirms
     the fixed point, not the discretization.
     """
+    prob = _own_problem(v)
     model = v.grid.model
     op = getattr(v, "_operator", None) or BellmanOperator(model, v.grid, prob)
     psi = psi_values(v.grid, prob)

@@ -285,14 +285,14 @@ def test_criterion_6_stopping_solver_oracle(cyclic4, solved64):
 
 def test_criterion_7_variational_inequalities(solved64):
     t0 = time.perf_counter()
-    report = verify_variational(solved64, PROB4)
+    report = verify_variational(solved64)
     assert report["pass"], report
     bumped = ValueFunction(
         solved64.grid,
         {a: v + 1.0 for a, v in psi_values(solved64.grid, PROB4).items()},
         PROB4,
     )
-    bad = verify_variational(bumped, PROB4)
+    bad = verify_variational(bumped)
     assert not bad["pass"]
     dt = elapsed_since(t0)
     assert dt < 30.0, dt

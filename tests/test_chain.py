@@ -74,7 +74,40 @@ class TestTransitionSemigroup:
             assert np.abs(left - right).max() < 1e-8
 
 
+class ScriptedDraws:
+    """A generator stub: `random` returns the given uniforms in order, and
+    `exponential(scale)` returns scale, the mean holding time."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+    def exponential(self, scale):
+        return scale
+
+
+# state 2's cumulative jump row ends at 0.9999999999999999, one ulp below 1
+GAPPED_ROW = [[-1, 0.5, 0.5], [0.5, -1, 0.5],
+              [0.9388537179520404, 0.2034393699528147, -1.1422930879048552]]
+
+
 class TestSampleChain:
+    def test_jump_uniform_in_the_rounding_gap_picks_a_possible_state(self):
+        rate = validate_generator(GAPPED_ROW)
+        draws = ScriptedDraws([0.5, np.nextafter(1.0, 0.0)])
+        path = sample_chain(rate, Distribution([0, 0, 1]), 1.0, draws)
+        assert path.initial_value == 2
+        assert path.jumps == ((1.0 / 1.1422930879048552, 1),)
+
+    def test_initial_uniform_in_the_rounding_gap_picks_a_state_with_mass(self):
+        rate = validate_generator(GAPPED_ROW)
+        mu = Distribution([0.5, 0.5 - 4e-11, 0.0])
+        path = sample_chain(rate, mu, 0.5, ScriptedDraws([1.0 - 1e-11]))
+        assert path.initial_value == 1
+        assert path.jumps == ()
+
     def test_absorbing_no_jumps(self):
         rate = validate_generator(np.zeros((3, 3)))
         path = sample_chain(rate, Distribution([0.2, 0.3, 0.5]), 10.0, RandomSource(1))

@@ -140,6 +140,24 @@ class TestStability:
         path.write_text(json.dumps(model))
         assert main(["stability", "--model", str(path), "--out", str(tmp_path)]) == 1
 
+    def test_init_b_that_cannot_explain_the_path_is_one_error_line(self, tmp_path, capsys):
+        # from s0 the chain can only jump to s1 (label a -> b); from s2,
+        # where init_b puts its mass, it can only jump to s3 (a -> c)
+        model = {
+            "states": ["s0", "s1", "s2", "s3"],
+            "generator": [[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -1, 1], [0, 0, 1, -1]],
+            "observation": {"s0": "a", "s1": "b", "s2": "a", "s3": "c"},
+            "stability": {"init_a": [1, 0, 0, 0], "init_b": [0, 0, 1, 0]},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = main(["stability", "--model", str(path), "--out", str(tmp_path),
+                   "--seed", "0", "--horizon", "10"])
+        assert rc == cli.EXIT_INVALID == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "stability.csv").exists()
+
 
 class TestStop:
     def test_zero_obstacle_value_zero(self, tmp_path):
@@ -175,6 +193,26 @@ class TestStop:
         assert abs(solution["mc_mean"] - solution["V_of_mu"]) <= (
             4 * solution["mc_stderr"] + 0.05
         )
+
+    def test_no_error_bound_where_the_contraction_bound_is_not_below_one(self, tmp_path):
+        # a stiff face (rate * DEFAULT_DT = 10, the discretization error that
+        # ROADMAP item 5 records), where residual / (1 - beta-bar) is negative
+        model = {
+            "states": ["x", "y"],
+            "generator": [[-200, 200], [200, -200]],
+            "observation": {"x": "a", "y": "b"},
+            "initial": [0.5, 0.5],
+            "stopping": {"g": [5, 1], "l": [0.5, 0.1], "alpha": 0.1, "grid_resolution": 4},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = main(["stop", "--model", str(path), "--out", str(tmp_path),
+                   "--sims", "20", "--horizon", "20", "--seed", "1"])
+        assert rc == 0
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        assert solution["beta_bound"] > 1.0
+        assert solution["residual"] < 1e-6
+        assert "error_bound" in solution and solution["error_bound"] is None
 
     def test_manifest_telemetry_has_sweep_deltas(self, tmp_path):
         rc = main(["stop", "--model", CYCLIC4, "--out", str(tmp_path),
@@ -459,7 +497,8 @@ def test_no_convergence_exits_3_and_a_usage_error_2(tmp_path, monkeypatch, capsy
     rc = main(["stop", "--model", str(INJECTIVE), "--out", str(tmp_path),
                "--sims", "5", "--horizon", "5"])
     assert rc == cli.EXIT_NO_CONVERGENCE == 3
-    assert "solver failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("non-convergence: ") and err.count("\n") == 1, err
     with pytest.raises(SystemExit) as exc:
         main(["stop", "--model", str(INJECTIVE), "--out", str(tmp_path), "--no-such-flag"])
     assert exc.value.code == 2

@@ -514,6 +514,11 @@ def test_fluxes_match_dense_formula(problem):
             assert abs(got - q[which == k, j].mean()) <= 1e-12
 
 
+def test_check_statistics_reject_no_simulations(cyclic4):
+    with pytest.raises(ValueError, match="n_sims"):
+        pdp_check_statistics(cyclic4, Distribution([0.25] * 4), 0, 2.0, 5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(flux_problems(), st.integers(0, 2**32 - 1))
 def test_face_local_invariants(problem, seed):

@@ -232,12 +232,12 @@ class TestBellman:
         for a in ("1", "0"):
             assert (solved4.values[a] <= psi[a] + 1e-9).all()
 
-    def test_no_convergence_raises(self, cyclic4):
+    def test_no_convergence_raises(self, cyclic4, monkeypatch):
+        monkeypatch.setattr(stopping, "MAX_ITER", 1)
         with pytest.raises(NoConvergence):
-            solve_value(cyclic4, PROB4, FaceGrid(cyclic4, 4), tol=1e-12, max_iter=1)
+            solve_value(cyclic4, PROB4, FaceGrid(cyclic4, 4), tol=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-6}, {"tol": math.nan},
-                                        {"max_iter": 0}])
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-6}, {"tol": math.nan}])
     def test_rejects_bad_tol_and_max_iter(self, cyclic4, kwargs):
         with pytest.raises(ValueError):
             solve_value(cyclic4, PROB4, FaceGrid(cyclic4, 4), **kwargs)
@@ -251,6 +251,20 @@ class TestBellman:
         oracle = classical_stopping_values(model.rate, prob.g, prob.l, prob.alpha,
                                            tol=1e-8)
         got = np.array([vf.values[a][0] for a in ("L", "M", "H")])
+        assert np.abs(got - oracle).max() < 1e-3
+
+    @pytest.mark.xfail(strict=True, reason="Simpson on DEFAULT_DT over-integrates the jump "
+                       "density of a face whose exit rate times DEFAULT_DT exceeds about 1: "
+                       "v(a) 1.12496 against the oracle's 1.00400 (ROADMAP item 5)")
+    def test_matches_classical_oracle_on_a_stiff_face(self):
+        # rate 100: rate * DEFAULT_DT = 5, and beta-bar = 1.12
+        model = FilterModel(validate_generator([[-100, 100], [100, -100]]),
+                            ObservationModel.from_assignment(("a", "b")))
+        prob = StoppingProblem(g=[5.0, 1.0], l=[0.5, 0.1], alpha=0.1)
+        vf = solve_value(model, prob, FaceGrid(model, 4), tol=1e-8)
+        oracle = classical_stopping_values(model.rate, prob.g, prob.l, prob.alpha,
+                                           tol=1e-8)
+        got = np.array([vf.values[a][0] for a in ("a", "b")])
         assert np.abs(got - oracle).max() < 1e-3
 
     def test_time_chunk_changes_no_bit(self, cyclic4, monkeypatch):
@@ -269,7 +283,7 @@ class TestBellman:
                 lengths = [k1 - k0 for k0, k1 in (c["nodes"] for c in op._pre[a]["body"])]
                 assert lengths[:-1] == [n] * (len(lengths) - 1) and 0 < lengths[-1] <= n
                 assert sum(lengths) == op.tail_start[a] + 1
-            return vf, verify_variational(vf, prob), contraction_bound(op), steps
+            return vf, verify_variational(vf), contraction_bound(op), steps
 
         cases = (
             (hexa6, prob6, FaceGrid(hexa6, 8),
@@ -676,7 +690,7 @@ class TestPolicy:
 
 class TestVerifyVariational:
     def test_solution_passes(self, solved4):
-        report = verify_variational(solved4, PROB4)
+        report = verify_variational(solved4)
         assert report["pass"], report
         assert report["obstacle_violation"] <= 0.0 + 5e-6
         assert report["continuation_violation"] <= 5e-6
@@ -687,7 +701,7 @@ class TestVerifyVariational:
             {a: v + 1.0 for a, v in psi_values(solved4.grid, PROB4).items()},
             PROB4,
         )
-        report = verify_variational(bumped, PROB4)
+        report = verify_variational(bumped)
         assert not report["pass"]
         assert report["obstacle_violation"] > 0.5
 
@@ -695,11 +709,15 @@ class TestVerifyVariational:
         lowered = ValueFunction(
             solved4.grid, {a: v - 1.0 for a, v in solved4.values.items()}, PROB4
         )
-        report = verify_variational(lowered, PROB4)
+        report = verify_variational(lowered)
         assert report["pass"]
 
+    def test_value_without_a_problem_raises(self, solved4):
+        with pytest.raises(ValueError, match="no stopping problem"):
+            verify_variational(ValueFunction(solved4.grid, solved4.values))
+
     def test_truncation_bound_small(self, solved4):
-        report = verify_variational(solved4, PROB4)
+        report = verify_variational(solved4)
         assert report["one_jump_truncation_bound"] < 1e-6
 
     def test_check_times_past_the_horizon_clamp_to_it(self, cyclic4):
@@ -709,7 +727,7 @@ class TestVerifyVariational:
         op = vf._operator
         assert op.check_ks == [40, op.K]
         for v in (vf, ValueFunction(vf.grid, vf.values, prob)):
-            report = verify_variational(v, prob)
+            report = verify_variational(v)
             assert report["pass"], report
             assert report["checked_times"] == [2.0, op.t_max]
 
