@@ -12,6 +12,8 @@ is loaded and filtered with numpy alone.
 
 from __future__ import annotations
 
+import functools
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -204,10 +206,100 @@ class PiecewisePath:
         return self.initial_value if k == 0 else self.jumps[k - 1][1]
 
 
+# numpy's SeedSequence constants (numpy.random.bit_generator, NEP 19)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n) -> list:
+    """n in little-endian 32-bit words ([0] for 0), as SeedSequence reads an
+    int; ValueError for n < 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(...).generate_state(4, np.uint64) for every row of entropy.
+
+    entropy is (K, L) uint32 with L >= 4, each row one key's assembled
+    entropy words (run entropy padded to the pool size, then the spawn key).
+    The rows go through SeedSequence's own mix_entropy and generate_state,
+    column by column in wrapping uint32 arithmetic; the hash constants do not
+    depend on the data, so every row meets the constants it meets alone.
+    Returns (K, 4) uint64.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, entropy.shape[1]):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _fixed_state_seed():
+    """An ISeedSequence that hands PCG64 one precomputed state row.
+
+    The class is made on the first call: numpy.random is not imported with
+    numpy, and importing it costs a load_model about 14 ms.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedStateSeed(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("holds generate_state(4, np.uint64) only")
+            return self.state
+
+    return FixedStateSeed
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Reproducible stream handle: same (seed, stream_id) gives identical draws,
-    distinct stream_ids give independent streams (SeedSequence spawn keys)."""
+    distinct stream_ids give independent streams (SeedSequence spawn keys).
+
+    generator() seeds one stream through numpy's SeedSequence; generators(ids)
+    seeds the streams of a whole batch in one pass, each with the draws of
+    its own generator()."""
 
     seed: int
     stream_id: int = 0
@@ -220,6 +312,38 @@ class RandomSource:
     def stream(self, r: int) -> "RandomSource":
         """Child source for replication r, independent across r."""
         return RandomSource(self.seed, r, tuple(self.lineage) + (self.stream_id,))
+
+    def generators(self, ids) -> list:
+        """[self.stream(r).generator() for r in ids], draw for draw, in one pass.
+
+        The keys lineage + (stream_id, r) are mixed together, keys of equal
+        word count in one array (_seed_states), and each PCG64 is seeded with
+        its key's row; a generator's bit_generator.seed_seq is therefore not
+        a SeedSequence and cannot spawn.  The seed and the ids are ints;
+        ValueError for a negative one, as SeedSequence raises.
+        """
+        ids = [operator.index(r) for r in ids]
+        if not ids:
+            return []
+        if min(ids) < 0:
+            raise ValueError("expected non-negative integer")
+        prefix = _uint32_words(self.seed)
+        prefix += [0] * (_POOL_SIZE - len(prefix))
+        for k in tuple(self.lineage) + (self.stream_id,):
+            prefix += _uint32_words(k)
+        by_width = {}
+        for i, r in enumerate(ids):
+            by_width.setdefault((r.bit_length() + 31) // 32 or 1, []).append(i)
+        seed_of = _fixed_state_seed()
+        gens = [None] * len(ids)
+        for width, where in by_width.items():
+            entropy = np.empty((len(where), len(prefix) + width), dtype=np.uint32)
+            entropy[:, :len(prefix)] = prefix
+            for k in range(width):
+                entropy[:, len(prefix) + k] = [ids[i] >> 32 * k & _MASK32 for i in where]
+            for i, state in zip(where, _seed_states(entropy)):
+                gens[i] = np.random.Generator(np.random.PCG64(seed_of(state)))
+        return gens
 
 
 def expm(a: np.ndarray) -> np.ndarray:

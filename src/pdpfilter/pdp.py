@@ -204,9 +204,11 @@ class BeliefPdp:
     def first_jumps(self, nu: FacePoint, horizon: float, rngs):
         """First jump of simulate_pdp(nu, horizon, rng) for each rng, and nothing after it.
 
-        Each RandomSource gives the first two draws of its generator, the
-        ones simulate_pdp spends on its first jump: the sojourn uniform, then
-        the target uniform.  The sojourns are inverted in one batch, and the
+        Each rng is a RandomSource or a numpy Generator, as for simulate_pdp,
+        so the Generators of one RandomSource.generators call serve too.  It
+        gives the first two draws of its generator, the ones simulate_pdp
+        spends on its first jump: the sojourn uniform, then the target
+        uniform.  The sojourns are inverted in one batch, and the
         targets are picked with simulate_pdp's _jump_law and _pick at
         model.flow's pre-jump points, as rows of a batch (_jump_law sums
         X Lambda[A, :] term by term, so a row has the bits it has alone).
@@ -214,7 +216,8 @@ class BeliefPdp:
         target labels.
         """
         model = self.model
-        us = np.array([rng.generator().random(2) for rng in rngs]).reshape(-1, 2)
+        gens = [rng.generator() if isinstance(rng, RandomSource) else rng for rng in rngs]
+        us = np.array([gen.random(2) for gen in gens]).reshape(-1, 2)
         times = self.sojourn_times(nu, us[:, 0], horizon)
         labels = np.full(len(us), None, dtype=object)
         jumped = np.flatnonzero(times < math.inf)
@@ -296,7 +299,9 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
     and the chain starts from nu0 itself so that Y_0 is deterministic.
     Simulation r samples the chain on stream r of RandomSource(seed), and the
     PDP's first jump from the first two draws of stream n_sims + r: the draws
-    simulate_pdp spends on its first jump, so the sample is the same.
+    simulate_pdp spends on its first jump, so the sample is the same.  The
+    2 n_sims streams are seeded in one RandomSource.generators call, each
+    with the draws of its own stream(r).generator().
     Raises ValueError for n_sims < 1.
     """
     if n_sims < 1:
@@ -306,17 +311,15 @@ def pdp_check_statistics(model: FilterModel, mu: Distribution, n_sims: int, hori
     a0 = next(a for a in labels if mu.weights[model.faces[a]].sum() > 0)
     nu0 = model.restrict_normalize(mu, a0)
     nu0_dist = Distribution(nu0.weights)
-    base = RandomSource(seed)
+    gens = RandomSource(seed).generators(range(2 * n_sims))
 
     chain_first = []
-    for r in range(n_sims):
-        obs_path = observe(sample_chain(model.rate, nu0_dist, horizon, base.stream(r)),
-                           model.obs)
+    for gen in gens[:n_sims]:
+        obs_path = observe(sample_chain(model.rate, nu0_dist, horizon, gen), model.obs)
         chain_first.append(obs_path.jumps[0] if obs_path.jumps else (math.inf, None))
     chain_times = np.array([t for t, _ in chain_first])
     chain_labels = np.array([b for _, b in chain_first], dtype=object)
-    pdp_times, pdp_labels = pdp.first_jumps(
-        nu0, horizon, [base.stream(n_sims + r) for r in range(n_sims)])
+    pdp_times, pdp_labels = pdp.first_jumps(nu0, horizon, gens[n_sims:])
 
     t_grid = np.linspace(0.0, horizon, 101)
     analytic = np.array([pdp.sojourn_survival(nu0, t) for t in t_grid])

@@ -132,13 +132,16 @@ class FaceGrid:
         """Simplicial (Freudenthal/Kuhn) interpolation on the face lattice.
 
         W: (M, d) rows of face coordinates summing to 1.  Returns index and
-        weight arrays of shape (M, d+1); weights are a convex combination,
-        exact on lattice points, so interpolated values stay within the
-        corner values of the containing cell.  The index of a vertex is its
-        rank, and raising s_j by one in a step of the Kuhn walk lowers the
-        rank by one difference of the binomial table; a vertex of zero weight
-        gets index n - 1 (the corner (m, 0, ..., 0)).  Raises RuntimeError for
-        a vertex of positive weight that is not a lattice point.
+        weight arrays of shape (M, d): the first d of the cell's d + 1
+        vertices, as the last always weighs 0 (staircase coordinate 0 is
+        pinned at m, so the smallest fractional part is 0).  The weights are
+        a convex combination, exact on lattice points, so interpolated values
+        stay within the corner values of the containing cell.  The index of a
+        vertex is its rank, and raising s_j by one in a step of the Kuhn walk
+        lowers the rank by one difference of the binomial table; a vertex of
+        zero weight gets index n - 1 (the corner (m, 0, ..., 0)).  Raises
+        RuntimeError for a vertex of positive weight that is not a lattice
+        point.
         """
         m = self.m
         W = np.clip(np.asarray(W, dtype=float), 0.0, None)
@@ -155,13 +158,12 @@ class FaceGrid:
         f[f < 1e-12] = 0.0
         order = np.argsort(-f, axis=1, kind="stable")
         fs = np.take_along_axis(f, order, axis=1)
-        wgt = np.empty((M, d + 1))
+        wgt = np.empty((M, d))
         wgt[:, 0] = 1.0 - fs[:, 0]
-        wgt[:, 1:d] = fs[:, : d - 1] - fs[:, 1:]
-        wgt[:, d] = fs[:, d - 1]
+        wgt[:, 1:] = fs[:, : d - 1] - fs[:, 1:]
         wgt = np.clip(wgt, 0.0, None)
         wgt /= wgt.sum(axis=1, keepdims=True)
-        idx = np.empty((M, d + 1), dtype=np.int64)
+        idx = np.empty((M, d), dtype=np.int64)
         z = np.rint(v).astype(np.int64)
         # z only grows along the walk, so up to a lattice point it stays
         # within 0 .. m: clipping the lookups at the table's end changes no
@@ -169,14 +171,14 @@ class FaceGrid:
         n = self.n_points(a)
         rank = n - 1 - binom[np.arange(d), np.minimum(z, m + 2)].sum(axis=1)
         rows = np.arange(M)
-        for k in range(d + 1):
+        for k in range(d):
             valid = wgt[:, k] > 1e-12
             off = (z[:, :-1] < z[:, 1:]).any(axis=1) | (z[:, 0] != m)
             if (valid & off).any():
                 raise RuntimeError("interpolation vertex not on the grid")
             idx[:, k] = np.where(valid, rank, n - 1)
             wgt[:, k] = np.where(valid, wgt[:, k], 0.0)
-            if k < d:
+            if k < d - 1:
                 j = order[:, k]
                 zj = np.minimum(z[rows, j], m + 1)
                 rank -= binom[j, zj + 1] - binom[j, zj]
@@ -335,7 +337,7 @@ class BellmanOperator:
 
     def _gather(self, b, X: np.ndarray):
         """CSR matrix whose row r interpolates values on face b at the point
-        X[r]: d_b + 1 entries per row, the indices and weights of
+        X[r]: d_b entries per row, the indices and weights of
         interpolation_weights in their order, zero weights kept, so that
         (G @ values[b])[r] sums the products left to right, as
         (values[b][idx] * wgt).sum(axis=1) does."""
@@ -744,7 +746,9 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     """Monte Carlo estimate (mean, stderr) of the policy's cost from mu.
 
     Path r is sampled from rng.stream(r) and observed through model.obs.
-    The paths are filtered and scanned in chunks of MC_CHUNK: one
+    The paths are sampled, filtered and scanned in chunks of MC_CHUNK: one
+    rng.generators call, which seeds the chunk's streams in one pass, each
+    with the draws of its own rng.stream(r).generator(); one
     run_filter_batch, which fills one array set for the chunk, and one
     policy.first_entries(trajs), which scans it through one evaluator and
     returns the stopping time of each trajectory (inf for never); then one
@@ -762,8 +766,8 @@ def evaluate_policy_mc(mu: Distribution, policy, prob: StoppingProblem,
     costs = np.empty(n_sims)
     for first in range(0, n_sims, MC_CHUNK):
         chunk = range(first, min(first + MC_CHUNK, n_sims))
-        obs = [observe(sample_chain(model.rate, mu, horizon, rng.stream(r)), model.obs)
-               for r in chunk]
+        obs = [observe(sample_chain(model.rate, mu, horizon, gen), model.obs)
+               for gen in rng.generators(chunk)]
         if hasattr(policy, "first_entries"):
             trajs = model.run_filter_batch(obs, mu)
             taus = np.array(policy.first_entries(trajs))

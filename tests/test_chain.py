@@ -93,6 +93,33 @@ GAPPED_ROW = [[-1, 0.5, 0.5], [0.5, -1, 0.5],
               [0.9388537179520404, 0.2034393699528147, -1.1422930879048552]]
 
 
+class TestRandomSourceGenerators:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**130 + 7])
+    @pytest.mark.parametrize("lineage", [(), (901,), (3, 901)])
+    def test_batch_matches_each_stream_bit_for_bit(self, seed, lineage):
+        # ids of one and of two 32-bit words in one call; the seed 2**130 + 7
+        # has five words, more entropy than SeedSequence's pool of four
+        source = RandomSource(seed, 5, lineage)
+        ids = [0, 1, 2**32 - 1, 2**32]
+        gens = source.generators(ids)
+        assert len(gens) == len(ids)
+        for r, gen in zip(ids, gens):
+            alone = source.stream(r).generator()
+            assert gen.bit_generator.state == alone.bit_generator.state
+            assert np.array_equal(gen.random(5), alone.random(5))
+            assert gen.exponential(2.0) == alone.exponential(2.0)
+
+    def test_empty_batch(self):
+        assert RandomSource(3).generators([]) == []
+
+    @pytest.mark.parametrize("seed, ids", [(3, [0, -1]), (-1, [0])])
+    def test_negative_seed_or_id_raises_as_numpy_does(self, seed, ids):
+        with pytest.raises(ValueError):
+            RandomSource(seed).generators(ids)
+        with pytest.raises(ValueError):
+            RandomSource(seed).stream(min(ids)).generator()
+
+
 class TestSampleChain:
     def test_jump_uniform_in_the_rounding_gap_picks_a_possible_state(self):
         rate = validate_generator(GAPPED_ROW)

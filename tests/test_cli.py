@@ -16,6 +16,7 @@ MODELS = ROOT / "demos" / "models"
 CYCLIC4 = str(MODELS / "cyclic4.json")
 INJECTIVE = MODELS / "threestate_injective.json"
 HEXA6 = ROOT / "perfbench" / "models" / "hexa6.json"
+PDP5 = ROOT / "perfbench" / "models" / "pdp5.json"
 
 
 def read_csv(path):
@@ -473,6 +474,31 @@ def test_defective_face_loads_no_scipy_subpackage():
     after_load, after_build = cold_start(str(HEXA6))[:2]
     assert after_load == []
     assert after_build == ["scipy.sparse"]
+
+
+NUMPY_RANDOM = """
+import json, sys
+from pdpfilter import RandomSource
+from pdpfilter.modelio import load_model
+
+stages = []
+for path in sys.argv[1:]:
+    load_model(path)
+    stages.append("numpy.random" in sys.modules)
+RandomSource(0).generators([0])
+stages.append("numpy.random" in sys.modules)
+print(json.dumps(stages))
+"""
+
+
+def test_load_imports_no_numpy_random():
+    # RandomSource.generators makes its seed class on the first call, so the
+    # package and a load leave numpy.random (about 14 ms) unimported
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM, str(PDP5), str(HEXA6)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, False, True]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -426,6 +426,9 @@ def test_first_jumps_match_simulate_pdp():
     n, horizon = 200, 1.0
     base = RandomSource(11)
     times, labels = pdp.first_jumps(nu0, horizon, [base.stream(n + r) for r in range(n)])
+    # the Generators of one batch call give the same first jumps, bit for bit
+    batch_times, batch_labels = pdp.first_jumps(nu0, horizon, base.generators(range(n, 2 * n)))
+    assert np.array_equal(batch_times, times) and list(batch_labels) == list(labels)
     censored = 0
     for r in range(n):
         jumps = pdp.simulate_pdp(nu0, horizon, base.stream(n + r)).jumps

@@ -314,7 +314,7 @@ class TestBellman:
             monkeypatch.undo()
 
     def test_transient_memory_bounded(self):
-        # the build keeps about 39 MB on hexa6 at grid 16 (tools/solver_memory.py);
+        # the build keeps about 32 MB on hexa6 at grid 16 (tools/solver_memory.py);
         # the chunked time axis bounds what it and a sweep allocate on top of that
         model, prob = hexa6_problem()
         grid = FaceGrid(model, 16)
@@ -325,7 +325,7 @@ class TestBellman:
             tracemalloc.reset_peak()
             op = BellmanOperator(model, grid, prob)
             retained, peak = tracemalloc.get_traced_memory()
-            assert retained - base > 32 * 2**20
+            assert retained - base > 26 * 2**20
             assert peak - retained < 16 * 2**20
             tracemalloc.reset_peak()
             op.apply(values)
@@ -334,7 +334,7 @@ class TestBellman:
             tracemalloc.stop()
 
     def test_gather_matrices_sum_in_vertex_order(self, cyclic4):
-        # every retained gather is a CSR matrix with d_b + 1 in-range entries
+        # every retained gather is a CSR matrix with d_b in-range entries
         # per row whose weights sum to 1, and its matvec sums each row's
         # products left to right, as numpy sums the interpolation products
         hexa6, prob6 = hexa6_problem()
@@ -347,7 +347,7 @@ class TestBellman:
                 mats = [(b, G) for c in chunks for b, _, G in c["jumps"]]
                 mats += [(a, G) for c in chunks for G in c["self_gather"].values()]
                 for b, G in mats:
-                    c = len(model.faces[b]) + 1
+                    c = len(model.faces[b])
                     n_b = op.grid.n_points(b)
                     assert G.shape[1] == n_b and G.nnz == c * G.shape[0]
                     assert np.array_equal(G.indptr, np.arange(0, G.nnz + 1, c))

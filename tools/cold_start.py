@@ -1,4 +1,4 @@
-"""Cold-start time and scipy subpackage loads of each model file, in fresh interpreters.
+"""Cold-start time of each model file and the subpackages it loads, in fresh interpreters.
 
     python3 tools/cold_start.py src                      # 7 runs per model
     python3 tools/cold_start.py ../parent/src src --runs 11
@@ -8,10 +8,11 @@ checkout's `src/`).  For every model in demos/models/*.json and
 perfbench/models/*.json, each run is one fresh interpreter with
 PYTHONPATH=SRC and one BLAS thread.  It times `from pdpfilter.modelio import
 load_model` plus the load (the FilterModel build included), as the benchmark's
-setup_s does, and notes which of scipy.linalg, scipy.sparse, scipy.integrate
-and scipy.optimize are loaded then, and again after one BellmanOperator build
-at grid 4 for a model with a stopping section.  Runs alternate over the SRCs,
-after one discarded run per SRC that compiles its byte code.
+setup_s does, and notes which of numpy.random, scipy.linalg, scipy.sparse,
+scipy.integrate and scipy.optimize are loaded then, and again after one
+BellmanOperator build at grid 4 for a model with a stopping section.  Runs
+alternate over the SRCs, after one discarded run per SRC that compiles its
+byte code.
 One row is printed per model and SRC: the median load seconds over the runs
 and the subpackages loaded after the load and after the build ("-" for none,
 "n/a" for a model without a stopping section).
@@ -38,17 +39,17 @@ from pdpfilter.modelio import load_model
 loaded = load_model(sys.argv[1])
 load_s = time.perf_counter() - t0
 
-def scipy_loaded():
-    names = ("scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.optimize")
+def subpackages_loaded():
+    names = ("numpy.random", "scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.optimize")
     return [m for m in names if m in sys.modules]
 
-row = {"load_s": load_s, "after_load": scipy_loaded(), "after_build": None}
+row = {"load_s": load_s, "after_load": subpackages_loaded(), "after_build": None}
 section = loaded["raw"].get("stopping")
 if section:
     from pdpfilter.stopping import BellmanOperator, FaceGrid, StoppingProblem
     BellmanOperator(loaded["model"], FaceGrid(loaded["model"], 4),
                     StoppingProblem(section["g"], section["l"], float(section["alpha"])))
-    row["after_build"] = scipy_loaded()
+    row["after_build"] = subpackages_loaded()
 print(json.dumps(row))
 """
 
