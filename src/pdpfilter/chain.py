@@ -372,6 +372,8 @@ def sample_chain(rate: RateMatrix, mu: Distribution, horizon: float, rng: Random
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if mu.n != rate.n:
+        raise ValueError(f"initial law has {mu.n} entries, generator has {rate.n} states")
     gen = rng.generator() if isinstance(rng, RandomSource) else rng
     rates, cum, last = rate._jump_tables()
     w = mu.weights

@@ -241,7 +241,7 @@ def cmd_stop(args) -> int:
     section = _section(loaded, "stopping", "g", "l", "alpha")
     model = loaded["model"]
     prob = StoppingProblem(section["g"], section["l"], float(section["alpha"]))
-    resolution = int(section.get("grid_resolution", 32)) if args.grid is None else args.grid
+    resolution = section.get("grid_resolution", 32) if args.grid is None else args.grid
     tol = float(section.get("tol", SOLVER_TOL)) if args.tol is None else args.tol
     grid = FaceGrid(model, resolution)
     vf = solve_value(model, prob, grid, tol=tol)

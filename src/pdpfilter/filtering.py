@@ -269,6 +269,8 @@ class FilterModel:
         is returned with the degenerate flag set.
         """
         mu = np.asarray(mu.weights if isinstance(mu, Distribution) else mu, dtype=float).ravel()
+        if len(mu) != self.n:
+            raise ValueError(f"law has {len(mu)} entries, model has {self.n} states")
         face = self.faces[a]
         vals = mu[face]
         if (vals < -NEG_FACE_TOL).any():

@@ -23,6 +23,7 @@ V(mu) = sum_a mu(h^{-1}(a)) v(H_a[mu]).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ SCAN_WINDOW = 128
 SCAN_STEP = 0.02  # largest spacing of first_entries' scan points on a segment
 ENTRY_TIME_TOL = 1e-8  # width of the scan cell part whose right end first_entries returns
 # paths that evaluate_policy_mc filters and scans at once: their scan takes
-# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 39 MB
+# about 4 MB on perfbench/models/hexa6.json at horizon 40, against the 25 MB
 # that the Bellman operator of that model keeps at grid 16
 # (tools/solver_memory.py)
 MC_CHUNK = 64
@@ -112,8 +113,8 @@ class FaceGrid:
     the point c has there the rank n - 1 - sum_{0<i<d} C(s_i + d-1-i, d-i)."""
 
     def __init__(self, model: FilterModel, resolution: int):
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
+        if not (isinstance(resolution, numbers.Real) and resolution >= 1 and resolution % 1 == 0):
+            raise ValueError(f"grid resolution must be an integer >= 1, got {resolution!r}")
         self.model = model
         self.m = int(resolution)
         self.points = {}
@@ -260,16 +261,17 @@ class BellmanOperator:
     max(TIME_CHUNK, CHUNK_BUDGET // n) mesh steps for the n grid points of
     face a, so the transient arrays are those of one chunk, a face of a few
     points pays the fixed cost of a chunk only once or a few times per
-    sweep, and the results do not depend on the chunk.  Retained per chunk and
-    grid point: at every row, the flowed running cost and, for each other
-    label b, the flux into b; at every node, the discounted flowed obstacle
-    and survival mass; per other label b, one CSR gather matrix that
-    interpolates v on face b at the jump targets of the chunk's rows (int32
-    indices, the interpolation weights as data); and one such matrix per
-    branch time for the flowed points of face a itself.  A sweep gathers
-    every row once: each chunk carries into the next the integrand at its
-    last node and midpoint, which only the next chunk's first Simpson
-    interval uses.
+    sweep, and the results do not depend on the chunk.  Retained per chunk
+    and grid point, each with every factor that does not depend on v: at
+    every row t_r, the running cost times e^{-alpha t_r}; at every node, the
+    discounted obstacle; per other label b, one CSR gather matrix that
+    interpolates v on face b at the rows' jump targets (int32 indices), its
+    weights times e^{-alpha t_r} and the flux into b; and per branch time
+    t_k, one for face a's flowed points, its weights times e^{-alpha t_k} and
+    their survival mass.  A sweep takes the integrand as run + sum_b G_b v_b
+    and a continue-to-t_k branch as I_k + G_k v_a, and gathers every row
+    once: each chunk carries into the next the integrand at its last node
+    and midpoint, which only the next chunk's first Simpson interval uses.
 
     Past k_T the face keeps the same tables for one point only, the
     reference flow y(t) from the mass-weighted mean y of the clipped points
@@ -292,6 +294,9 @@ class BellmanOperator:
     """
 
     def __init__(self, model: FilterModel, grid: FaceGrid, prob: StoppingProblem):
+        if len(prob.g) != model.n:
+            raise ValueError(f"stopping problem has {len(prob.g)} entries per vector, "
+                             f"model has {model.n} states")
         self.model = model
         self.grid = grid
         self.prob = prob
@@ -335,15 +340,16 @@ class BellmanOperator:
         wide = np.flatnonzero(~(spread <= TAIL_SPREAD))
         return min(int(wide[-1]) // 2 + 1, self.K) if wide.size else 0
 
-    def _gather(self, b, X: np.ndarray):
-        """CSR matrix whose row r interpolates values on face b at the point
-        X[r]: d_b entries per row, the indices and weights of
-        interpolation_weights in their order, zero weights kept, so that
-        (G @ values[b])[r] sums the products left to right, as
-        (values[b][idx] * wgt).sum(axis=1) does."""
+    def _gather(self, b, X: np.ndarray, scale: np.ndarray):
+        """CSR matrix whose row r interpolates values on face b at X[r] times
+        scale[r] >= 0, X and scale flattened to (rows, d_b) and (rows,): d_b
+        entries per row, interpolation_weights' indices in their order and its
+        weights times scale[r], zero weights kept, so that (G @ values[b])[r]
+        sums the products left to right, as (values[b][idx] * data).sum(axis=1)."""
         from scipy.sparse import csr_array
 
-        idx, wgt = self.grid.interpolation_weights(b, X)
+        idx, wgt = self.grid.interpolation_weights(b, X.reshape(-1, X.shape[-1]))
+        wgt *= scale.reshape(-1, 1)
         rows, c = idx.shape
         indptr = np.arange(0, rows * c + 1, c, dtype=np.int32)
         return csr_array((wgt.ravel(), idx.astype(np.int32).ravel(), indptr),
@@ -377,20 +383,18 @@ class BellmanOperator:
         clipped in place."""
         model = self.model
         face = model.faces[a]
-        rows = slice(row0, row0 + len(X))
-        disc = self.disc[rows][::2][k0 - k1:, None]
+        disc = self.disc[row0:row0 + len(X), None]
         np.clip(X, 0.0, None, out=X)
-        nodes = X[::2][k0 - k1:]
-        c = {"nodes": (k0, k1), "rows": rows, "run": X @ self.prob.l[face],
-             "stop": disc * (nodes @ self.prob.g[face]), "mass": disc * nodes.sum(axis=2),
-             "jumps": [], "self_gather": {}}
+        nodes, node_disc = X[::2][k0 - k1:], disc[::2][k0 - k1:]
+        c = {"nodes": (k0, k1), "run": disc * (X @ self.prob.l[face]),
+             "stop": node_disc * (nodes @ self.prob.g[face]), "jumps": [], "self_gather": {}}
         for b in model._others[a]:
-            T = X @ model._out_rows[a][:, model.faces[b]]
-            Tn, flux = _restrict(T)
-            c["jumps"].append((b, flux, self._gather(b, Tn.reshape(-1, T.shape[-1]))))
+            Tn, flux = _restrict(X @ model._out_rows[a][:, model.faces[b]])
+            c["jumps"].append((b, self._gather(b, Tn, disc * flux)))
         for k in self._branch_ks:
             if k0 <= k < k1:
-                c["self_gather"][k] = self._gather(a, _restrict(nodes[k - k0])[0])
+                x, mass = _restrict(nodes[k - k0])
+                c["self_gather"][k] = self._gather(a, x, node_disc[k - k0] * mass)
         return c
 
     def _pass(self, chunks: list, values: dict, a, I_prev: np.ndarray):
@@ -401,10 +405,7 @@ class BellmanOperator:
         carry = None
         for c in chunks:
             k0, k1 = c["nodes"]
-            jump = np.zeros_like(c["run"])
-            for b, flux, G in c["jumps"]:
-                jump += flux * (G @ values[b]).reshape(jump.shape)
-            q = self.disc[c["rows"], None] * (c["run"] + jump)
+            q = c["run"] + sum((G @ values[b]).reshape(c["run"].shape) for b, G in c["jumps"])
             if carry is not None:  # from node k0 - 1
                 q = np.concatenate([carry, q])
             I = np.empty(((len(q) + 1) // 2, q.shape[1]))
@@ -418,7 +419,7 @@ class BellmanOperator:
             low = (I + c["stop"]).min(axis=0)
             best = low if best is None else np.minimum(best, low)
             for k, G in c["self_gather"].items():
-                cont[k] = I[k - k0] + c["mass"][k - k0] * (G @ values[a])
+                cont[k] = I[k - k0] + G @ values[a]
         return best, cont, I_prev
 
     def _sweep(self, values: dict, a):
@@ -504,7 +505,7 @@ def contraction_bound(op: BellmanOperator) -> float:
     """beta-bar, a sup-norm Lipschitz constant of T = op.apply.
 
     Each branch of T is affine in v with a nonnegative linear part L (Simpson
-    and interpolation weights, fluxes and masses are all >= 0), so its
+    weights; gather weights carry discounts, fluxes and masses), so its
     Lipschitz constant is the largest entry of L 1 = branch(1) - branch(0),
     and T, their minimum, has at most the largest over branches.  A stop
     branch's L 1 is the integral to t_k alone, which grows with k, so the

@@ -135,6 +135,12 @@ class TestSampleChain:
         assert path.initial_value == 1
         assert path.jumps == ()
 
+    def test_rejects_a_law_of_another_length(self):
+        # a 3-entry law on the 4-state chain sampled without complaint
+        rate = validate_generator(CYCLIC4_GENERATOR)
+        with pytest.raises(ValueError, match="3 entries.*4 states"):
+            sample_chain(rate, Distribution([0.2, 0.3, 0.5]), 1.0, RandomSource(1))
+
     def test_absorbing_no_jumps(self):
         rate = validate_generator(np.zeros((3, 3)))
         path = sample_chain(rate, Distribution([0.2, 0.3, 0.5]), 10.0, RandomSource(1))

@@ -348,6 +348,21 @@ def test_stop_rejects_bad_tol_in_model_file(tmp_path, capsys, tol):
     assert len(err) == 1 and "tol" in err[0], err
 
 
+@pytest.mark.parametrize("resolution", [4.5, 0, "16"])
+def test_stop_rejects_a_grid_resolution_that_is_not_a_positive_integer(tmp_path, capsys,
+                                                                      resolution):
+    # 4.5 ran at grid 4 and exited 0
+    model = json.loads(Path(CYCLIC4).read_text())
+    model["stopping"]["grid_resolution"] = resolution
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc = main(["stop", "--model", str(path), "--out", str(tmp_path / "out"),
+               "--sims", "5", "--horizon", "5"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "grid resolution" in err[0], err
+
+
 @pytest.mark.parametrize("key, value", [("step", 0.0), ("step", -0.1), ("t_max", -1.0)])
 def test_exit_time_rejects_bad_time_grid(tmp_path, capsys, key, value):
     # a step of 0 divided by zero; a negative step or t_max wrote a csv of

@@ -50,6 +50,14 @@ class TestRestrictNormalize:
         assert fp.degenerate
         assert np.allclose(fp.weights, [0.5, 0, 0.5, 0])
 
+    def test_rejects_a_law_of_another_length(self, cyclic4):
+        # a 3-entry law was restricted, and filtered, without complaint
+        law = Distribution([0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="3 entries.*4 states"):
+            cyclic4.restrict_normalize(law, "1")
+        with pytest.raises(ValueError, match="3 entries.*4 states"):
+            cyclic4.run_filter(PiecewisePath("1", (), 1.0), law)
+
     def test_idempotent(self, cyclic4):
         gen = np.random.default_rng(0)
         for _ in range(20):

@@ -47,7 +47,7 @@ def measure(batches: int) -> dict:
     loaded = load_model(str(HEXA6))
     model, mu, section = loaded["model"], loaded["initial"], loaded["raw"]["stopping"]
     prob = stopping.StoppingProblem(section["g"], section["l"], float(section["alpha"]))
-    grid = stopping.FaceGrid(model, int(section["grid_resolution"]))
+    grid = stopping.FaceGrid(model, section["grid_resolution"])
     policy = stopping.stopping_rule(stopping.solve_value(model, prob, grid,
                                                          tol=float(section["tol"])))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

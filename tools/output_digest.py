@@ -9,12 +9,16 @@ checkout's `src/`).  The model files always come from the checkout that holds
 this script, so two SRC trees are run on the same inputs.  Each run is its own
 process with PYTHONPATH=SRC, writing into a temporary directory; every output
 file except manifest.json (which records absolute paths) is printed as one
-line `sha256  <run>/<file>`.
+line `sha256  <run>/<file>`.  Each `stop` run also prints one line
+`<run>/solution.json  V_of_mu=... iterations=... mc_mean=... mc_stderr=...`
+with the numbers at repr precision, so that a diff shows how far a change
+that moves the last bits moved them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SOLUTION_KEYS = ("V_of_mu", "iterations", "mc_mean", "mc_stderr")
 PDP5 = ROOT / "perfbench" / "models" / "pdp5.json"
 HEXA6 = ROOT / "perfbench" / "models" / "hexa6.json"
 CYCLIC4 = ROOT / "demos" / "models" / "cyclic4.json"
@@ -78,6 +83,10 @@ def main(argv=None) -> int:
                 if path.name != "manifest.json":
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     print(f"{digest}  {name}/{path.name}", flush=True)
+            if args[0] == "stop":
+                solution = json.loads((out / "solution.json").read_text())
+                numbers = " ".join(f"{key}={solution[key]!r}" for key in SOLUTION_KEYS)
+                print(f"{name}/solution.json  {numbers}", flush=True)
     return 0
 
 
